@@ -49,13 +49,20 @@ def derive_nonce(label: bytes, *parts: bytes) -> bytes:
     return digest(label, *parts)[:AEAD_NONCE_SIZE]
 
 
-def encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    return ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
+def cipher(key: bytes) -> ChaCha20Poly1305:
+    """The AEAD object for ``key``; build it once per key and reuse it."""
+    return ChaCha20Poly1305(key)
 
 
-def decrypt(key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes | None:
+def encrypt(aead: ChaCha20Poly1305, nonce: bytes, plaintext: bytes,
+            aad: bytes = b"") -> bytes:
+    return aead.encrypt(nonce, plaintext, aad)
+
+
+def decrypt(aead: ChaCha20Poly1305, nonce: bytes, ciphertext: bytes,
+            aad: bytes = b"") -> bytes | None:
     """Decrypt and authenticate; ``None`` on any authentication failure."""
     try:
-        return ChaCha20Poly1305(key).decrypt(nonce, ciphertext, aad)
+        return aead.decrypt(nonce, ciphertext, aad)
     except InvalidTag:
         return None

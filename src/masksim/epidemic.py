@@ -372,14 +372,17 @@ class EpidemicSeries:
         return float(self.infected.max()) / self.n
 
     def to_csv(self, path) -> None:
+        """Write the series as CSV; floats as Python ``repr``, so the text
+        reads back to the same doubles."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("step,S,I,R_slight,R_serious,mean_M,C,mean_c\n")
             for k in range(len(self.steps)):
                 fh.write(f"{self.steps[k]},{self.susceptible[k]},"
                          f"{self.infected[k]},{self.immune_slight[k]},"
-                         f"{self.immune_serious[k]},{self.mean_mask[k]!r},"
-                         f"{self.global_cost[k]!r},"
-                         f"{self.mean_individual_cost[k]!r}\n")
+                         f"{self.immune_serious[k]},"
+                         f"{float(self.mean_mask[k])!r},"
+                         f"{float(self.global_cost[k])!r},"
+                         f"{float(self.mean_individual_cost[k])!r}\n")
 
 
 def run(config: WorldConfig, steps: int) -> EpidemicSeries:

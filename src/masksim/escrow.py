@@ -25,8 +25,18 @@ Policies:
 
 A deposit the wallet cannot cover is never an error: it is recorded as an
 exclusion event (the agent is barred for the step) and state is unchanged.
-Every executed transfer is appended to the ledger channel when one is
-attached, so replaying the channel reconstructs all balances.
+
+When a ledger channel is attached, every executed transfer is mirrored to
+it, so replaying the channel reconstructs all balances.  Transfers are
+buffered and published as bundles (in the spirit of IOTA bundles): each
+:meth:`EscrowBank.commit` packs the buffered records, in order, into as
+few channel messages as fit one transaction.  A bundle is escrow record
+version 2, one JSON object::
+
+    {"v":2,"transfers":[[step,agent,kind,amount],...]}
+
+with amounts in micro-tokens and ``kind`` one of the transfer kinds or
+``init`` (an agent's opening balance, published at construction).
 """
 
 from __future__ import annotations
@@ -40,7 +50,9 @@ from .ledger import MamChannel, Tangle
 
 MICRO_PER_TOKEN = 10**6
 
-_RECORD_VERSION = 1
+_RECORD_VERSION = 2
+_BUNDLE_HEAD = '{"v":%d,"transfers":[' % _RECORD_VERSION
+_BUNDLE_TAIL = "]}"
 
 
 class EscrowFault(Exception):
@@ -100,6 +112,7 @@ class Transfer:
     step: int
     agent_id: str
     kind: str            # deposit | refund | forfeit | partial_return
+                         # (and init, for opening balances on the ledger)
     amount_micro: int
 
 
@@ -136,22 +149,43 @@ class EscrowBank:
                                        for w in self.wallets.values())
         self._tangle = tangle
         self._channel = channel
+        self._pending: list[tuple] = []     # records not yet on the ledger
         for agent, wallet in self.wallets.items():
-            self._publish({"v": _RECORD_VERSION, "kind": "init", "agent": agent,
-                           "step": 0, "amount": wallet.balance_micro})
+            self._buffer(0, agent, "init", wallet.balance_micro)
+        self.commit()
 
     # -- ledger mirroring -------------------------------------------------
 
-    def _publish(self, record: dict) -> None:
+    def _buffer(self, step: int, agent: str, kind: str, amount_micro: int) -> None:
         if self._channel is not None and self._tangle is not None:
-            payload = json.dumps(record, separators=(",", ":"),
-                                 sort_keys=True).encode("utf-8")
-            self._channel.publish(self._tangle, payload)
+            self._pending.append((step, agent, kind, amount_micro))
 
     def _record(self, step: int, agent: str, kind: str, amount_micro: int) -> None:
         self.transfers.append(Transfer(step, agent, kind, amount_micro))
-        self._publish({"v": _RECORD_VERSION, "kind": kind, "agent": agent,
-                       "step": step, "amount": amount_micro})
+        self._buffer(step, agent, kind, amount_micro)
+
+    def commit(self) -> None:
+        """Publish the buffered records, in order, packed greedily into as
+        few bundles as fit one ledger transaction.  The runner commits once
+        per step; without a channel this is a no-op."""
+        if not self._pending:
+            return
+        items = [json.dumps(list(rec), separators=(",", ":"))
+                 for rec in self._pending]
+        self._pending = []
+        room = (self._channel.message_limit
+                - len(_BUNDLE_HEAD) - len(_BUNDLE_TAIL))
+        start, size = 0, -1             # size counts the separating commas
+        for i, item in enumerate(items):
+            if i > start and size + 1 + len(item) > room:
+                self._publish_bundle(items[start:i])
+                start, size = i, -1
+            size += 1 + len(item)
+        self._publish_bundle(items[start:])
+
+    def _publish_bundle(self, items: list[str]) -> None:
+        payload = _BUNDLE_HEAD + ",".join(items) + _BUNDLE_TAIL
+        self._channel.publish(self._tangle, payload.encode("ascii"))
 
     # -- operations ---------------------------------------------------------
 
@@ -282,17 +316,35 @@ class ReplayedState:
                 + self.forfeited_pool)
 
 
+def decode_records(payloads: list[bytes]) -> list[Transfer]:
+    """All transfers (and ``init`` records) of raw escrow channel payloads,
+    in order.  Raises ``ValueError`` on anything but a version-2 bundle."""
+    out: list[Transfer] = []
+    for payload in payloads:
+        rec = json.loads(payload.decode("utf-8"))
+        if not isinstance(rec, dict) or rec.get("v") != _RECORD_VERSION:
+            raise ValueError(
+                f"unknown escrow record version: {payload[:40]!r}")
+        try:
+            out.extend(Transfer(int(step), agent, kind, int(amount))
+                       for step, agent, kind, amount in rec["transfers"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed escrow bundle: {payload[:40]!r}") from exc
+    return out
+
+
 def replay_records(payloads: list[bytes]) -> ReplayedState:
     """Rebuild balances from raw escrow channel payloads, in order."""
     state = ReplayedState()
-    for payload in payloads:
-        rec = json.loads(payload.decode("utf-8"))
-        if rec.get("v") != _RECORD_VERSION:
-            raise ValueError(f"unknown escrow record version: {rec!r}")
-        agent, kind, amount = rec["agent"], rec["kind"], int(rec["amount"])
+    for t in decode_records(payloads):
+        agent, kind, amount = t.agent_id, t.kind, t.amount_micro
         if kind == "init":
             state.wallets[agent] = state.wallets.get(agent, 0) + amount
-        elif kind == "deposit":
+            continue
+        if agent not in state.wallets:
+            raise ValueError(f"escrow {kind} for {agent!r} before its init")
+        if kind == "deposit":
             state.wallets[agent] -= amount
             state.active_bonds[agent] = amount
         elif kind == "refund":

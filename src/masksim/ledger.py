@@ -50,9 +50,22 @@ _NONCE_DOMAIN = b"masksim-mam-nonce"
 
 _ENVELOPE_MAGIC = b"MAM1"
 _ENVELOPE_VERSION = 1
+_ENVELOPE_HEADER = len(_ENVELOPE_MAGIC) + 2 + 8     # magic, version, mode, index
 
 SNAPSHOT_FORMAT = "masksim-tangle"
 SNAPSHOT_VERSION = 1
+
+# one transaction of the snapshot, laid out as ``json.dump(indent=1)`` does
+_SNAPSHOT_RECORD = ('%s  {\n'
+                    '   "id": "%s",\n'
+                    '   "parents": [\n'
+                    '    "%s",\n'
+                    '    "%s"\n'
+                    '   ],\n'
+                    '   "payload": "%s",\n'
+                    '   "channel_address": %s,\n'
+                    '   "logical_time": %d\n'
+                    '  }')
 
 
 class LedgerError(Exception):
@@ -266,28 +279,30 @@ class Tangle:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a versioned JSON snapshot, transactions in append order."""
+        """Write a versioned JSON snapshot, transactions in append order.
+
+        The text is exactly ``json.dump(doc, fh, indent=1)`` plus a newline,
+        written one record at a time: every value is a hex or base64 string,
+        an integer or null, so no JSON escaping is ever needed.
+        """
         with self._lock:
             txs = sorted(self.transactions.values(), key=lambda t: t.logical_time)
-            doc = {
-                "format": SNAPSHOT_FORMAT,
-                "version": SNAPSHOT_VERSION,
-                "genesis": self.genesis.hex(),
-                "transactions": [
-                    {
-                        "id": t.id.hex(),
-                        "parents": [p.hex() for p in t.parents],
-                        "payload": base64.b64encode(t.payload).decode("ascii"),
-                        "channel_address": (t.channel_address.hex()
-                                            if t.channel_address else None),
-                        "logical_time": t.logical_time,
-                    }
-                    for t in txs
-                ],
-            }
+            genesis = self.genesis.hex()
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(f'{{\n "format": "{SNAPSHOT_FORMAT}",\n'
+                     f' "version": {SNAPSHOT_VERSION},\n'
+                     f' "genesis": "{genesis}",\n'
+                     f' "transactions": [')
+            sep = "\n"
+            for t in txs:
+                address = (f'"{t.channel_address.hex()}"' if t.channel_address
+                           else "null")
+                fh.write(_SNAPSHOT_RECORD % (
+                    sep, t.id.hex(), t.parents[0].hex(), t.parents[1].hex(),
+                    base64.b64encode(t.payload).decode("ascii"), address,
+                    t.logical_time))
+                sep = ",\n"
+            fh.write("\n ]\n}\n")      # never empty: genesis is always there
 
     @classmethod
     def load(cls, path, rng_seed: int = 0) -> "Tangle":
@@ -300,24 +315,27 @@ class Tangle:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise IntegrityError(f"snapshot is not valid JSON: {exc}") from exc
-        if doc.get("format") != SNAPSHOT_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise IntegrityError("not a tangle snapshot")
         if doc.get("version") != SNAPSHOT_VERSION:
             raise IntegrityError(f"unsupported snapshot version {doc.get('version')}")
+        try:
+            genesis = bytes.fromhex(doc["genesis"])
+        except (KeyError, ValueError, TypeError) as exc:
+            raise IntegrityError("snapshot has no valid genesis id") from exc
+        records = doc.get("transactions")
+        if not isinstance(records, list):
+            raise IntegrityError("snapshot has no transaction list")
 
         tangle = cls.__new__(cls)
         tangle._lock = threading.RLock()
         tangle._rng = random.Random(rng_seed)
-        tangle.genesis = bytes.fromhex(doc["genesis"])
+        tangle.genesis = genesis
         tangle.transactions = {}
         tangle._tips = {}
         tangle._children = {}
         tangle._by_address = {}
         max_time = 0
-        try:
-            records = doc["transactions"]
-        except KeyError as exc:
-            raise IntegrityError("snapshot has no transaction list") from exc
         for rec in records:
             try:
                 tx = Transaction(
@@ -437,6 +455,8 @@ class MamChannel:
     def __post_init__(self):
         # validates the mode/key combination as a side effect
         self._base = channel_address(self.mode, self.root, self.side_key)
+        self._aead = (crypto.cipher(_message_key(self._base, self.side_key))
+                      if self.mode is ChannelMode.RESTRICTED else None)
         self._cursor = self._base
         for _ in range(self.next_index):
             self._cursor = _next_address(self._cursor)
@@ -444,6 +464,14 @@ class MamChannel:
     @property
     def base_address(self) -> bytes:
         return self._base
+
+    @property
+    def message_limit(self) -> int:
+        """Largest message that fits one transaction on this channel."""
+        overhead = _ENVELOPE_HEADER
+        if self._aead is not None:
+            overhead += crypto.AEAD_TAG_SIZE
+        return MAX_PAYLOAD - overhead
 
     def fast_forward(self, index: int) -> None:
         """Advance the publish cursor past ``index`` messages already on the
@@ -456,14 +484,13 @@ class MamChannel:
         """Encode, encrypt if restricted, and append; returns the tx id."""
         index = self.next_index
         address = self._cursor
-        if self.mode is ChannelMode.RESTRICTED:
-            body = crypto.encrypt(_message_key(self._base, self.side_key),
-                                  _message_nonce(self._base, index),
+        if self._aead is not None:
+            body = crypto.encrypt(self._aead, _message_nonce(self._base, index),
                                   message, aad=address)
         else:
             body = message
         envelope = (_ENVELOPE_MAGIC
-                    + bytes([_ENVELOPE_VERSION, _mode_byte(self.mode)])
+                    + bytes([_ENVELOPE_VERSION, _MODE_BYTES[self.mode]])
                     + struct.pack(">Q", index)
                     + body)
         if len(envelope) > MAX_PAYLOAD:
@@ -475,30 +502,29 @@ class MamChannel:
         return tx_id
 
 
-def _mode_byte(mode: ChannelMode) -> int:
-    return {ChannelMode.PUBLIC: 0, ChannelMode.PRIVATE: 1,
-            ChannelMode.RESTRICTED: 2}[mode]
+_MODE_BYTES = {ChannelMode.PUBLIC: 0, ChannelMode.PRIVATE: 1,
+               ChannelMode.RESTRICTED: 2}
 
 
 def _decode_envelope(payload: bytes, address: bytes, base_address: bytes,
-                     index: int, mode: ChannelMode,
-                     side_key: bytes | None) -> bytes | None:
-    """Decode one stored envelope; ``None`` if it is not decodable."""
-    header = len(_ENVELOPE_MAGIC) + 2 + 8
-    if len(payload) < header or payload[:4] != _ENVELOPE_MAGIC:
+                     index: int, mode: ChannelMode, aead) -> bytes | None:
+    """Decode one stored envelope; ``None`` if it is not decodable.
+
+    ``aead`` is the channel's cipher, ``None`` when the reader has no key.
+    """
+    if len(payload) < _ENVELOPE_HEADER or payload[:4] != _ENVELOPE_MAGIC:
         return None
-    if payload[4] != _ENVELOPE_VERSION or payload[5] != _mode_byte(mode):
+    if payload[4] != _ENVELOPE_VERSION or payload[5] != _MODE_BYTES[mode]:
         return None
     (stored_index,) = struct.unpack(">Q", payload[6:14])
     if stored_index != index:
         return None
-    body = payload[14:]
+    body = payload[_ENVELOPE_HEADER:]
     if mode is not ChannelMode.RESTRICTED:
         return body
-    if not side_key:
+    if aead is None:
         return None
-    return crypto.decrypt(_message_key(base_address, side_key),
-                          _message_nonce(base_address, index),
+    return crypto.decrypt(aead, _message_nonce(base_address, index),
                           body, aad=address)
 
 
@@ -521,7 +547,8 @@ class ChannelReader:
         self._tangle = tangle
         self._base = address
         self._mode = mode
-        self._side_key = side_key
+        self._aead = (crypto.cipher(_message_key(address, side_key))
+                      if mode is ChannelMode.RESTRICTED and side_key else None)
         self._cursor = address
         self._index = 0
 
@@ -539,7 +566,7 @@ class ChannelReader:
                 return out
             for tx in txs:
                 body = _decode_envelope(tx.payload, self._cursor, self._base,
-                                        self._index, self._mode, self._side_key)
+                                        self._index, self._mode, self._aead)
                 if body is not None:
                     out.append(ChannelMessage(self._index, tx.id, body))
             self._index += 1

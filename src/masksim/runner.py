@@ -7,8 +7,11 @@ One run wires the whole architecture together, per step:
       -> controller reads the channels, updates costs, publishes the cost
          vector on its own channel
       -> escrow settles every bond against the observed bit and the next
-         stake
+         stake, and commits the step's transfers to its channel as bundles
       -> the epidemic advances one step
+
+When the loop ends the escrow channel is replayed from the ledger and must
+equal the bank, and the ledger must pass ``verify``.
 
 Outputs are plot-ready CSV files plus one JSON summary; identical configs
 and seeds give byte-identical CSVs and ledger snapshots (the summary also
@@ -34,8 +37,9 @@ from . import crypto
 from .bus import Gateway, MessageBus
 from .controller import ComplianceController
 from .epidemic import World, advance, sample_mask_bits
-from .escrow import BondState, EscrowBank, PenaltyPolicy, micro_to_str
-from .ledger import ChannelMode, ChannelReader, MamChannel, Tangle
+from .escrow import (BondState, EscrowBank, PenaltyPolicy, micro_to_str,
+                     replay_records)
+from .ledger import ChannelMode, ChannelReader, MamChannel, Tangle, mam_fetch
 from .positioning import (SPEED_OF_LIGHT, multilaterate, simulate_exchange,
                           time_of_flight)
 from .sensing import (DetectorConfig, GasSample, MaskDetector, decode_status,
@@ -210,6 +214,7 @@ class _Run:
                 bank.settle_step(a, m, next_stakes[a], step)
             elif policy is PenaltyPolicy.EVENT_DRIVEN:
                 bank.settle_event(a, m, next_stakes[a], step)
+        bank.commit()
         if not bank.conservation_ok():
             raise InvariantBreach(
                 f"escrow: token conservation violated at step {step}")
@@ -238,6 +243,29 @@ class _Run:
                 if doc is not None and doc["step"] == step:
                     records[a] = doc["M"]
         return records
+
+    def _audit_escrow(self) -> None:
+        """Replaying the escrow channel from the ledger gives the bank's
+        wallets, active bonds and forfeited pool."""
+        bank = self.bank
+        channel = escrow_channel(self.config.seed)
+        try:
+            replayed = replay_records(
+                mam_fetch(self.tangle, channel.base_address, channel.mode))
+        except ValueError as exc:
+            raise InvariantBreach(f"escrow: channel does not replay: {exc}") \
+                from exc
+        active = {a: b.amount_micro for a, b in bank.bonds.items()
+                  if b.state is BondState.ACTIVE}
+        wallets = {a: w.balance_micro for a, w in bank.wallets.items()}
+        for what, on_ledger, in_bank in (
+                ("wallets", replayed.wallets, wallets),
+                ("active bonds", replayed.active_bonds, active),
+                ("forfeited pool", replayed.forfeited_pool,
+                 bank.forfeited_pool_micro)):
+            if on_ledger != in_bank:
+                raise InvariantBreach(
+                    f"escrow: ledger replay differs from the bank in {what}")
 
     def execute(self, steps: int) -> RunResult:
         t0 = time.perf_counter()
@@ -297,8 +325,11 @@ class _Run:
             for a in self.agents:
                 if self.bank.bonds[a].state is BondState.ACTIVE:
                     self.bank.settle_exit(a, self.all_compliant[a], steps)
+            self.bank.commit()
             if not self.bank.conservation_ok():
                 raise InvariantBreach("escrow: conservation violated at exit")
+        if self.controlled:
+            self._audit_escrow()
 
         problems = self.tangle.verify()
         if problems:

@@ -288,7 +288,7 @@ def test_run_deterministic_and_csv_bytes_identical(tmp_path):
 def test_run_series_digest_pinned():
     # Taken from the per-cell-loop contact finder that the sorted-cell join
     # replaced: any change to the contact pair set changes the series.  The
-    # arrays are hashed, not to_csv's text, which follows NumPy's scalar repr.
+    # arrays are hashed, not to_csv's text.
     s = run(WorldConfig(n_agents=500, mask_fraction=0.35, seed=0,
                         initial_infected=3), steps=150)
     counts = np.column_stack([s.susceptible, s.infected, s.immune_slight,
@@ -297,6 +297,25 @@ def test_run_series_digest_pinned():
                             + s.mean_mask.astype("<f8").tobytes())
     assert digest.hexdigest() == \
         "8760c7f50e2bb65ac054a0eb9cb7c3537c55a8a028ec552fdcade4b41c6a2d62"
+
+
+def test_to_csv_reads_back_to_the_same_series(tmp_path):
+    s = run(WorldConfig(n_agents=50, mask_fraction=0.35, seed=0), steps=20)
+    s.global_cost = np.linspace(0.0, 1.0, len(s.steps)) / 3
+    path = tmp_path / "series.csv"
+    s.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,S,I,R_slight,R_serious,mean_M,C,mean_c"
+    rows = [line.split(",") for line in lines[1:]]
+    ints = np.array([[int(f) for f in r[:5]] for r in rows])
+    floats = np.array([[float(f) for f in r[5:]] for r in rows])
+    assert np.array_equal(ints, np.column_stack(
+        [s.steps, s.susceptible, s.infected, s.immune_slight,
+         s.immune_serious]))
+    # the same doubles, bit for bit, and no NumPy scalar reprs in the text
+    assert np.array_equal(floats, np.column_stack(
+        [s.mean_mask, s.global_cost, s.mean_individual_cost]))
+    assert "np." not in path.read_text()
 
 
 def test_raising_mask_effectiveness_weakly_reduces_new_infections():

@@ -1,13 +1,16 @@
 """Bond state machine, the four penalty policies, exact token conservation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masksim.escrow import (BondState, EscrowBank, EscrowFault, PenaltyPolicy,
-                            micro_to_str, replay_records, to_micro)
-from masksim.ledger import ChannelMode, MamChannel, Tangle, mam_fetch
+                            Transfer, decode_records, micro_to_str,
+                            replay_records, to_micro)
+from masksim.ledger import MAX_PAYLOAD, ChannelMode, MamChannel, Tangle, mam_fetch
 
 
 def bank(policy, balances=None, rho=0.5, **kw):
@@ -275,9 +278,11 @@ def test_every_transfer_lands_on_ledger_and_replays_to_same_balances():
                               float(np.round(rng.uniform(0, 3), 3)), step=k)
             else:
                 b.deposit(a, 1.0, step=k)
+        b.commit()
 
     payloads = mam_fetch(tangle, channel.base_address, ChannelMode.PUBLIC)
-    assert len(payloads) == len(b.transfers) + len(agents)   # + init records
+    items = decode_records(payloads)
+    assert len(items) == len(b.transfers) + len(agents)      # + init records
     replayed = replay_records(payloads)
     assert replayed.forfeited_pool == b.forfeited_pool_micro
     for a in agents:
@@ -286,6 +291,70 @@ def test_every_transfer_lands_on_ledger_and_replays_to_same_balances():
                 if b.bonds[a].state is BondState.ACTIVE else None)
         assert replayed.active_bonds.get(a) == live
     assert replayed.total() == b.initial_total_micro
+
+
+def ledger_bank(balances, policy=PenaltyPolicy.ADAPTIVE_WITH_RETURN, rho=0.5):
+    tangle = Tangle(rng_seed=1)
+    channel = MamChannel(ChannelMode.PUBLIC, bytes(32))
+    b = EscrowBank(balances, policy, rho=rho, tangle=tangle, channel=channel)
+    return b, lambda: mam_fetch(tangle, channel.base_address, ChannelMode.PUBLIC)
+
+
+def test_v2_bundle_round_trip_through_replay():
+    b, fetch = ledger_bank({"a": 10.0, "b": 5.0})
+    assert len(fetch()) == 1                 # the init records, one bundle
+    b.deposit("a", 4.0, step=1)
+    b.deposit("b", 2.0, step=1)
+    assert len(fetch()) == 1                 # buffered until the commit
+    b.commit()
+    b.settle_step("a", 0, 3.0, step=2)       # forfeit, deposit
+    b.settle_step("b", 1, 1.0, step=2)       # refund, deposit
+    b.commit()
+    b.settle_step("a", 1, 1.0, step=3)       # refund, partial_return, deposit
+    b.commit()
+    b.commit()                               # nothing pending: no bundle
+    payloads = fetch()
+    assert len(payloads) == 4
+    assert json.loads(payloads[1]) == {
+        "v": 2, "transfers": [[1, "a", "deposit", 4_000_000],
+                              [1, "b", "deposit", 2_000_000]]}
+    assert decode_records(payloads) == [
+        Transfer(0, "a", "init", 10_000_000),
+        Transfer(0, "b", "init", 5_000_000)] + b.transfers
+    replayed = replay_records(payloads)
+    assert replayed.wallets == {a: w.balance_micro for a, w in b.wallets.items()}
+    assert replayed.active_bonds == {"a": 1_000_000, "b": 1_000_000}
+    assert replayed.forfeited_pool == b.forfeited_pool_micro == 2_000_000
+    assert replayed.total() == b.initial_total_micro
+
+
+def test_step_larger_than_one_payload_splits_into_bundles():
+    agents = [f"a{i:03d}" for i in range(400)]
+    b, fetch = ledger_bank({a: 100.0 for a in agents})
+    inits = fetch()
+    for a in agents:
+        b.deposit(a, 1.234567, step=7)
+    b.commit()
+    bundles = fetch()[len(inits):]
+    assert len(inits) >= 2 and len(bundles) >= 2
+    limit = MamChannel(ChannelMode.PUBLIC, bytes(32)).message_limit
+    assert all(len(p) <= limit < MAX_PAYLOAD for p in inits + bundles)
+    # packed greedily: each bundle but the last is too full for the next item
+    for p, nxt in zip(bundles, bundles[1:]):
+        first = json.dumps(json.loads(nxt)["transfers"][0],
+                           separators=(",", ":"))
+        assert len(p) + 1 + len(first) > limit
+    assert decode_records(bundles) == b.transfers
+    assert replay_records(inits + bundles).total() == b.initial_total_micro
+
+
+def test_v1_record_is_rejected():
+    v1 = json.dumps({"v": 1, "kind": "init", "agent": "a", "step": 0,
+                     "amount": 5}, separators=(",", ":"), sort_keys=True)
+    with pytest.raises(ValueError, match="version"):
+        replay_records([v1.encode()])
+    with pytest.raises(ValueError, match="malformed"):
+        replay_records([b'{"v":2,"transfers":[[1,"a","init"]]}'])
 
 
 def test_transfer_csv_schema(tmp_path):

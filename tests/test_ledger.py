@@ -271,6 +271,46 @@ def test_snapshot_round_trip(tmp_path):
         [f"r{i}".encode() for i in range(30)]
 
 
+def snapshot_oracle(t: Tangle) -> str:
+    """The snapshot text as ``json.dump(doc, fh, indent=1)`` writes it."""
+    import base64
+    import io
+    import json
+
+    doc = {"format": "masksim-tangle", "version": 1,
+           "genesis": t.genesis.hex(),
+           "transactions": [
+               {"id": tx.id.hex(),
+                "parents": [p.hex() for p in tx.parents],
+                "payload": base64.b64encode(tx.payload).decode("ascii"),
+                "channel_address": (tx.channel_address.hex()
+                                    if tx.channel_address else None),
+                "logical_time": tx.logical_time}
+               for tx in sorted(t.transactions.values(),
+                                key=lambda tx: tx.logical_time)]}
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def test_snapshot_text_equals_indented_json_dump(tmp_path):
+    t = Tangle(rng_seed=4)
+    path = tmp_path / "ledger.json"
+    t.save(path)
+    assert path.read_text(encoding="utf-8") == snapshot_oracle(t)
+    restricted = MamChannel(ChannelMode.RESTRICTED, bytes(32), side_key=b"k")
+    public = MamChannel(ChannelMode.PUBLIC, bytes(range(32)))
+    for i in range(40):
+        restricted.publish(t, bytes(range(i % 7, 3 * i)))
+        public.publish(t, b'"quoted"\n\\' * i)
+        t.append(f"raw {i}".encode())
+    t.save(path)
+    assert path.read_text(encoding="utf-8") == snapshot_oracle(t)
+    assert path.read_text(encoding="utf-8") == \
+        snapshot_oracle(Tangle.load(path))
+
+
 def test_snapshot_detects_flipped_payload_byte(tmp_path):
     import base64
     import json

@@ -1,13 +1,14 @@
 """Scenario loading, closed-loop runs, HIL replay, CLI subcommands."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from masksim.cli import main
-from masksim.escrow import PenaltyPolicy
+from masksim.escrow import EscrowBank, PenaltyPolicy
 from masksim.runner import (agent_ids, detector_bits, read_replay_csv,
                             run_hil_replay, run_scenario)
 from masksim.scenario import ConfigError, load_scenario, scenario_from_dict
@@ -113,6 +114,45 @@ def test_identical_seeds_give_byte_identical_outputs(tmp_path):
     for name in ("epidemic.csv", "costs.csv", "transfers.csv", "ledger.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+# The scenario of the README's "Scenario configuration" section.
+README_SCENARIO = {
+    "version": 1, "seed": 42, "steps": 120,
+    "world": {"n_agents": 80, "room": [20.0, 10.0], "epsilon": 2.0,
+              "p0": 0.009, "recovery_steps": 30, "mask_mode": "controller",
+              "mask_effectiveness": 0.9, "initial_infected": 2},
+    "controller": {"alpha": 0.25, "beta": 0.25, "gamma": 0.95, "q_star": 0.9,
+                   "delay": 1, "link": {"name": "logistic"}},
+    "escrow": {"policy": "adaptive_with_return", "rho": 0.5,
+               "initial_balance": 100.0},
+    "detector": {"window": 10, "eco2_threshold": 500.0,
+                 "tvoc_threshold": 50.0, "combine": "and"},
+    "anchors": [[0, 0], [20, 0], [0, 10], [20, 10]],
+    "hil": {"agent_index": 0, "ranging_jitter": 2.5e-10},
+}
+
+# The CSV digests predate escrow bundling, which left them unchanged; the
+# ledger digest is that of escrow record version 2 (one bundle per step).
+README_DIGESTS = {
+    "epidemic.csv":
+        "9688f5cc8f8c7ca371c6daf80f31315bed02f612e2bf5fc3afd751ed8a6b447f",
+    "costs.csv":
+        "83adf005d032e63bcb313c603e45845bda57777eef0514224de791d14bd14df3",
+    "transfers.csv":
+        "9d4e8ff80b7bc4b6ceaeb2f99160b2f60666a5e60c82a09bf86d1ab7b6f4d4a1",
+    "ledger.json":
+        "ffa8a8c3762348892b149d15959aeb516b9cec336eccfef646d3287416a5909c",
+}
+
+
+def test_readme_scenario_outputs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    res = run_scenario(scenario_from_dict(README_SCENARIO), out_dir=out)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in README_DIGESTS}
+    assert digests == README_DIGESTS
+    assert res.summary.ledger["transactions"] == 9962
 
 
 def test_compliance_records_travel_via_ledger():
@@ -322,6 +362,41 @@ def test_cli_ledger_inspect_clean_and_tampered(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["ledger", "inspect", str(bad)]) == 3
     assert main(["ledger", "inspect", str(tmp_path / "missing.json")]) == 4
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"format": "masksim-tangle", "version": 1, "transactions": []},
+    {"format": "masksim-tangle", "version": 1, "genesis": "not hex",
+     "transactions": []},
+    {"format": "masksim-tangle", "version": 1, "genesis": "00" * 32,
+     "transactions": None},
+], ids=["top-level-list", "no-genesis", "non-hex-genesis", "null-transactions"])
+def test_cli_ledger_inspect_malformed_snapshot_exit_3(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ledger", "inspect", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "VIOLATION" in err and "Traceback" not in err
+
+
+def test_cli_dropped_escrow_bundle_exit_3(tmp_path, capsys, monkeypatch):
+    real_commit = EscrowBank.commit
+    commits = []
+
+    def lossy_commit(bank):
+        commits.append(len(bank._pending))
+        if len(commits) == 10:      # this step's bundle never reaches the ledger
+            bank._pending.clear()
+        real_commit(bank)
+
+    monkeypatch.setattr(EscrowBank, "commit", lossy_commit)
+    cfg = write_config(tmp_path)
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    assert commits[9] > 0
+    err = capsys.readouterr().err
+    assert "invariant breach: escrow: ledger replay differs" in err
+    assert "Traceback" not in err
 
 
 def test_cli_hil_replay_smoke(tmp_path):
