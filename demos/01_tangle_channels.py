@@ -7,7 +7,7 @@ Run:  python3 demos/01_tangle_channels.py
 import tempfile
 from pathlib import Path
 
-from masksim import ChannelMode, MamChannel, Tangle, mam_fetch, mam_publish
+from masksim import ChannelMode, MamChannel, Tangle, mam_fetch
 
 # %% A fresh tangle holds only the self-approving genesis transaction.
 tangle = Tangle(rng_seed=7)
@@ -32,7 +32,7 @@ for mode, key in ((ChannelMode.PUBLIC, None),
                   (ChannelMode.RESTRICTED, b"side-key")):
     channel = MamChannel(mode, root, side_key=key)
     for i in range(3):
-        mam_publish(tangle, channel, f"{mode.value} message {i}".encode())
+        channel.publish(tangle, f"{mode.value} message {i}".encode())
     fetched = mam_fetch(tangle, channel.base_address, mode, key)
     print(f"{mode.value:>10}: address {channel.base_address.hex()[:12]}..., "
           f"fetched {len(fetched)} messages in order")

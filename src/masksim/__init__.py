@@ -7,15 +7,13 @@ positioning pipeline and a gas-sensor mask detector provide the physical
 layer.  Everything is reproducible bit-for-bit from a single seed.
 """
 
-from .bus import Gateway, MessageBus, Subscription
-from .controller import (ComplianceController, ComplianceRecord,
-                         ControllerParams, LOGISTIC, MonotoneLink,
-                         compliance_probability, simulate_compliance,
-                         stake_amount)
+from .bus import Gateway, MessageBus
+from .controller import (ComplianceController, ControllerParams, LOGISTIC,
+                         MonotoneLink, simulate_compliance)
 from .epidemic import EpidemicSeries, Health, World, WorldConfig
 from .escrow import Bond, BondState, EscrowBank, PenaltyPolicy, Wallet
 from .ledger import (ChannelMode, ChannelReader, MamChannel, Tangle,
-                     channel_address, mam_fetch, mam_publish)
+                     channel_address, mam_fetch)
 from .positioning import (Anchor, FixResult, TwrTimestamps, distance,
                           multilaterate, simulate_exchange, time_of_flight)
 from .sensing import (CombineRule, DetectorConfig, GasSample, MaskDetector,
@@ -25,13 +23,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Anchor", "Bond", "BondState", "ChannelMode", "ChannelReader",
-    "CombineRule", "ComplianceController", "ComplianceRecord",
-    "ControllerParams", "DetectorConfig", "EpidemicSeries", "EscrowBank",
-    "FixResult", "GasSample", "Gateway", "Health", "LOGISTIC", "MamChannel",
+    "CombineRule", "ComplianceController", "ControllerParams",
+    "DetectorConfig", "EpidemicSeries", "EscrowBank", "FixResult",
+    "GasSample", "Gateway", "Health", "LOGISTIC", "MamChannel",
     "MaskDetector", "MessageBus", "MonotoneLink", "PenaltyPolicy",
-    "StreamLevels", "Subscription", "Tangle", "TwrTimestamps", "Wallet",
-    "World", "WorldConfig", "channel_address", "compliance_probability",
-    "distance", "mam_fetch", "mam_publish", "multilaterate",
-    "publish_status", "simulate_compliance", "simulate_exchange",
-    "stake_amount", "synth_stream", "time_of_flight",
+    "StreamLevels", "Tangle", "TwrTimestamps", "Wallet", "World",
+    "WorldConfig", "channel_address", "distance", "mam_fetch",
+    "multilaterate", "publish_status", "simulate_compliance",
+    "simulate_exchange", "synth_stream", "time_of_flight",
 ]

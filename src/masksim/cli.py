@@ -43,10 +43,11 @@ def _setup_logging() -> None:
 
 
 def _apply_overrides(config, args):
+    """``--seed``/``--steps`` on top of the file; ``replace`` re-runs the
+    dataclass checks, so an override is validated like the file."""
     if args.seed is not None:
-        # the seed threads through every subsystem, so rebuild via the dict
-        doc_world = replace(config.world, seed=args.seed)
-        config = replace(config, seed=args.seed, world=doc_world)
+        config = replace(config, seed=args.seed,
+                         world=replace(config.world, seed=args.seed))
     if args.steps is not None:
         config = replace(config, steps=args.steps)
     return config
@@ -54,14 +55,13 @@ def _apply_overrides(config, args):
 
 def _load(args):
     try:
-        config = load_scenario(args.config)
+        return _apply_overrides(load_scenario(args.config), args)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG) from None
-    return _apply_overrides(config, args)
 
 
 def _run_and_report(fn, out_dir):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -90,54 +90,8 @@ def make_link(spec: Mapping | None) -> MonotoneLink:
 
 
 # =============================================================================
-# Control laws
-# =============================================================================
-
-def update_windowed_average(prev_avg: float, m: int, gamma: float) -> float:
-    """One step of the discounted compliance average."""
-    return gamma * prev_avg + (1.0 - gamma) * m
-
-
-def update_global_cost(cost: float, mean_compliance: float, alpha: float,
-                       q_star: float) -> float:
-    """Integral update of the global cost from delayed mean compliance."""
-    if not 0.0 <= mean_compliance <= 1.0:
-        raise ValueError(f"mean compliance {mean_compliance} outside [0, 1]")
-    return cost + alpha * (q_star - mean_compliance)
-
-
-def update_individual_cost(cost: float, windowed_avg: float, beta: float,
-                           q_star: float) -> float:
-    """Integral update of one agent's cost from its delayed windowed average."""
-    return cost + beta * (q_star - windowed_avg)
-
-
-def compliance_probability(q: float, global_cost: float, individual_cost: float,
-                           link: MonotoneLink = LOGISTIC):
-    """Probability of compliance next step; the raw sum may be negative."""
-    return link(q + global_cost + individual_cost)
-
-
-def stake_amount(global_cost: float, individual_cost: float) -> float:
-    """Tokens the agent must deposit: the cost sum clamped at zero.
-
-    Only the deposit clamps; the unclamped sum still feeds the compliance
-    probability so the control law is unaffected.
-    """
-    return max(0.0, global_cost + individual_cost)
-
-
-# =============================================================================
 # Controller state and stepper
 # =============================================================================
-
-@dataclass(frozen=True)
-class ComplianceRecord:
-    """One agent's mask bit for one step; at most one per (agent, step)."""
-    agent_id: str
-    step: int
-    m: int
-
 
 @dataclass
 class ControllerParams:
@@ -207,11 +161,17 @@ class ComplianceController:
         return float(self.windowed_avgs[self._index[agent_id]])
 
     def stakes(self) -> dict[str, float]:
-        return {a: stake_amount(self.global_cost, float(self.individual_costs[i]))
-                for a, i in self._index.items()}
+        """Tokens each agent must deposit: the cost sum clamped at zero.
+
+        Only the deposit clamps; the unclamped sum still feeds the compliance
+        probability, so the control law is unaffected.
+        """
+        stakes = np.maximum(0.0, self.global_cost + self.individual_costs)
+        return dict(zip(self.agents, stakes.tolist()))
 
     def probabilities(self, q: np.ndarray) -> np.ndarray:
-        """Compliance probabilities for proclivities aligned to agent order."""
+        """Compliance probabilities ``p(q_i + C + c_i)`` for proclivities
+        aligned to agent order; the raw sum may be negative."""
         return self.params.link(q + self.global_cost + self.individual_costs)
 
     # -- stepping ---------------------------------------------------------
@@ -230,17 +190,14 @@ class ComplianceController:
             bits[i] = float(m)
             present[i] = True
 
-        if isinstance(records, Mapping):
-            for agent_id, m in records.items():
-                put(agent_id, m)
-        elif isinstance(records, np.ndarray):
+        if isinstance(records, np.ndarray):
             if records.shape != (n,):
                 raise ValueError(f"expected {n} bits, got shape {records.shape}")
             bits[:] = records
             present[:] = True
         else:
-            for rec in records:
-                put(rec.agent_id, rec.m)
+            for agent_id, m in records.items():
+                put(agent_id, m)
         for i, got in enumerate(present):
             if not got:
                 self.gap_events.append((step, self.agents[i]))
@@ -249,25 +206,27 @@ class ComplianceController:
     def step(self, step: int, records) -> StepResult:
         """Apply one control step with the compliance records of ``step``.
 
-        ``records`` may be a dict ``agent_id -> bit``, an ndarray of bits in
-        agent order, or an iterable of :class:`ComplianceRecord`.  Returns
-        the stakes every agent must deposit for the next step.
+        ``records`` may be a mapping ``agent_id -> bit`` or an ndarray of
+        bits in agent order.  Returns the stakes every agent must deposit for
+        the next step.
         """
         p = self.params
         bits, present = self._coerce_bits(records, step)
 
+        if present.any():
+            mean_now = float(bits[present].mean())
+            if not 0.0 <= mean_now <= 1.0:
+                raise ValueError(f"mean compliance {mean_now} outside [0, 1]")
+        elif self._mean_history:
+            mean_now = self._mean_history[-1]
+        else:
+            mean_now = p.q_star  # nothing measured yet: assume on-target
         # windowed averages update before either cost; gaps hold their value
         self.windowed_avgs = np.where(
             present,
             p.gamma * self.windowed_avgs + (1.0 - p.gamma) * bits,
             self.windowed_avgs,
         )
-        if present.any():
-            mean_now = float(bits[present].mean())
-        elif self._mean_history:
-            mean_now = self._mean_history[-1]
-        else:
-            mean_now = p.q_star  # nothing measured yet: assume on-target
         self._mean_history.append(mean_now)
         self._avg_history.append(self.windowed_avgs.copy())
 
@@ -276,8 +235,7 @@ class ComplianceController:
         delayed_mean = self._mean_history[0]
         delayed_avgs = self._avg_history[0]
 
-        self.global_cost = update_global_cost(
-            self.global_cost, delayed_mean, p.alpha, p.q_star)
+        self.global_cost += p.alpha * (p.q_star - delayed_mean)
         self.individual_costs = (
             self.individual_costs + p.beta * (p.q_star - delayed_avgs))
 
@@ -361,6 +319,6 @@ def simulate_compliance(params: ControllerParams, q: np.ndarray, steps: int,
         mean_compliance[k - 1] = res.mean_compliance
         global_cost[k - 1] = res.global_cost
         mean_c[k - 1] = res.mean_individual_cost
-    stakes = np.maximum(0.0, ctrl.global_cost + ctrl.individual_costs)
     return ComplianceRun(mean_compliance, global_cost, mean_c,
-                         ctrl.windowed_avgs.copy(), stakes)
+                         ctrl.windowed_avgs.copy(),
+                         np.array(list(ctrl.stakes().values())))

@@ -131,8 +131,8 @@ class WorldConfig:
             raise ValueError("mask_effectiveness must lie in [0, 1]")
         if self.mask_mode not in ("fixed", "controller"):
             raise ValueError(f"unknown mask mode {self.mask_mode!r}")
-        if self.initial_infected > self.n_agents:
-            raise ValueError("more initial infected than agents")
+        if not 0 <= self.initial_infected <= self.n_agents:
+            raise ValueError("initial_infected must lie in [0, n_agents]")
 
 
 class World:
@@ -250,12 +250,6 @@ def contact_pairs(positions: np.ndarray, epsilon: float
     near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= epsilon * epsilon
     ii, jj = ii[near], jj[near]
     return np.minimum(ii, jj), np.maximum(ii, jj)
-
-
-def infection_probability(p0: float, m_i: float, big_m_i: int,
-                          m_j: float, big_m_j: int) -> float:
-    """Per-trial infection probability for one susceptible/infected contact."""
-    return p0 * (1.0 - m_i * big_m_i) * (1.0 - m_j * big_m_j)
 
 
 def infection_trials(world: World, ii: np.ndarray, jj: np.ndarray,

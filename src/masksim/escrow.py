@@ -218,11 +218,8 @@ class EscrowBank:
                                PenaltyPolicy.ADAPTIVE_WITH_RETURN):
             raise EscrowFault(f"settle_step does not apply to {self.policy.value}")
         bond = self._active_bond(agent_id)
-        wallet = self.wallets[agent_id]
         if m:
-            wallet.balance_micro += bond.amount_micro
-            bond.state = BondState.REFUNDED
-            self._record(step, agent_id, "refund", bond.amount_micro)
+            self._refund(bond, step)
             if (self.policy is PenaltyPolicy.ADAPTIVE_WITH_RETURN
                     and bond.forfeited_micro > 0):
                 returned = int((Decimal(str(self.rho)) * bond.forfeited_micro)
@@ -230,13 +227,10 @@ class EscrowBank:
                 if returned > 0:
                     self.forfeited_pool_micro -= returned
                     bond.forfeited_micro -= returned
-                    wallet.balance_micro += returned
+                    self.wallets[agent_id].balance_micro += returned
                     self._record(step, agent_id, "partial_return", returned)
         else:
-            self.forfeited_pool_micro += bond.amount_micro
-            bond.forfeited_micro += bond.amount_micro
-            bond.state = BondState.FORFEITED
-            self._record(step, agent_id, "forfeit", bond.amount_micro)
+            self._forfeit(bond, step)
         return self.deposit(agent_id, next_stake_tokens, step)
 
     def settle_event(self, agent_id: str, m: int, required_tokens: float,
@@ -248,10 +242,7 @@ class EscrowBank:
         bond = self._active_bond(agent_id)
         if m:
             return True
-        self.forfeited_pool_micro += bond.amount_micro
-        bond.forfeited_micro += bond.amount_micro
-        bond.state = BondState.FORFEITED
-        self._record(step, agent_id, "forfeit", bond.amount_micro)
+        self._forfeit(bond, step)
         return self.deposit(agent_id, required_tokens, step)
 
     def settle_exit(self, agent_id: str, fully_compliant: bool, step: int) -> None:
@@ -260,14 +251,23 @@ class EscrowBank:
             raise EscrowFault(f"settle_exit does not apply to {self.policy.value}")
         bond = self._active_bond(agent_id)
         if fully_compliant:
-            self.wallets[agent_id].balance_micro += bond.amount_micro
-            bond.state = BondState.REFUNDED
-            self._record(step, agent_id, "refund", bond.amount_micro)
+            self._refund(bond, step)
         else:
-            self.forfeited_pool_micro += bond.amount_micro
-            bond.forfeited_micro += bond.amount_micro
-            bond.state = BondState.FORFEITED
-            self._record(step, agent_id, "forfeit", bond.amount_micro)
+            self._forfeit(bond, step)
+
+    def _refund(self, bond: Bond, step: int) -> None:
+        """The bond goes back to its owner's wallet."""
+        self.wallets[bond.agent_id].balance_micro += bond.amount_micro
+        bond.state = BondState.REFUNDED
+        self._record(step, bond.agent_id, "refund", bond.amount_micro)
+
+    def _forfeit(self, bond: Bond, step: int) -> None:
+        """The bond goes to the forfeited pool and counts towards the
+        owner's cumulative forfeitures."""
+        self.forfeited_pool_micro += bond.amount_micro
+        bond.forfeited_micro += bond.amount_micro
+        bond.state = BondState.FORFEITED
+        self._record(step, bond.agent_id, "forfeit", bond.amount_micro)
 
     def _active_bond(self, agent_id: str) -> Bond:
         bond = self.bonds[agent_id]

@@ -573,11 +573,6 @@ class ChannelReader:
             self._cursor = _next_address(self._cursor)
 
 
-def mam_publish(tangle: Tangle, channel: MamChannel, message: bytes) -> bytes:
-    """Publish one message on ``channel``; returns the ledger transaction id."""
-    return channel.publish(tangle, message)
-
-
 def mam_fetch(tangle: Tangle, address: bytes, mode: ChannelMode,
               side_key: bytes | None = None) -> list[bytes]:
     """All decodable messages of the channel at ``address``, in order.

@@ -60,17 +60,6 @@ class Anchor:
     position: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class RangeMeasurement:
-    anchor_id: str
-    distance: float
-    timestamp: float = 0.0
-
-    def __post_init__(self):
-        if self.distance < 0:
-            raise ValueError("distances are non-negative")
-
-
 def time_of_flight(ts: TwrTimestamps) -> float:
     """One-way flight time recovered from the six-timestamp exchange."""
     ts.validate()
@@ -135,10 +124,6 @@ class FixResult:
     converged: bool
     reason: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.converged
-
 
 def _collinear(anchors: np.ndarray) -> bool:
     centered = anchors - anchors.mean(axis=0)
@@ -187,15 +172,10 @@ def multilaterate(anchors, distances) -> FixResult:
     return FixResult((float(x[0]), float(x[1])), rms, iterations, True)
 
 
-def measure_distance(ts: TwrTimestamps) -> float:
-    """Distance of one exchange; rejects corrupt exchanges."""
-    return distance(time_of_flight(ts))
-
-
 def locate_from_exchanges(anchors: list[Anchor],
                           exchanges: list[TwrTimestamps]) -> FixResult:
     """Full pipeline: exchanges -> distances -> position fix."""
     if len(anchors) != len(exchanges):
         raise ValueError("one exchange per anchor required")
-    dists = [measure_distance(ts) for ts in exchanges]
+    dists = [distance(time_of_flight(ts)) for ts in exchanges]
     return multilaterate([an.position for an in anchors], dists)

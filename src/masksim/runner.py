@@ -40,7 +40,7 @@ from .epidemic import World, advance, sample_mask_bits
 from .escrow import (BondState, EscrowBank, PenaltyPolicy, micro_to_str,
                      replay_records)
 from .ledger import ChannelMode, ChannelReader, MamChannel, Tangle, mam_fetch
-from .positioning import (SPEED_OF_LIGHT, multilaterate, simulate_exchange,
+from .positioning import (distance, multilaterate, simulate_exchange,
                           time_of_flight)
 from .sensing import (DetectorConfig, GasSample, MaskDetector, decode_status,
                       encode_status, status_topic)
@@ -162,7 +162,7 @@ class _Run:
                 {a: config.escrow.initial_balance for a in self.agents},
                 config.escrow.policy, rho=config.escrow.rho,
                 tangle=self.tangle, channel=escrow_channel(seed))
-        self.all_compliant = {a: True for a in self.agents}
+        self.all_compliant = np.ones(len(self.agents), dtype=bool)
         self.epidemic_rows: list[tuple] = []
         self.cost_rows: list[tuple] = []
         self.trace_rows: list[tuple] = []
@@ -181,7 +181,7 @@ class _Run:
             ts = simulate_exchange(d, reply_delay=cfg.hil.reply_delay,
                                    final_delay=cfg.hil.final_delay,
                                    jitter=cfg.hil.ranging_jitter, rng=rng)
-            dists.append(max(0.0, time_of_flight(ts)) * SPEED_OF_LIGHT)
+            dists.append(distance(max(0.0, time_of_flight(ts))))
         fix = multilaterate(cfg.anchors, dists)
         if not fix.converged:
             log.warning("no position fix at step %d: %s", step, fix.reason)
@@ -204,11 +204,9 @@ class _Run:
         bank = self.bank
         policy = self.config.escrow.policy
         for i, a in enumerate(self.agents):
-            m = int(bits[i])
-            if not m:
-                self.all_compliant[a] = False
             if bank.bonds[a].state is not BondState.ACTIVE:
                 continue
+            m = int(bits[i])
             if policy in (PenaltyPolicy.ADAPTIVE,
                           PenaltyPolicy.ADAPTIVE_WITH_RETURN):
                 bank.settle_step(a, m, next_stakes[a], step)
@@ -287,6 +285,7 @@ class _Run:
                 bits[idx] = self.hil_bits[step - 1]
                 world.mask_bits[idx] = bits[idx]
                 self.hil_positions.append(self._hil_fix(step))
+            self.all_compliant &= bits != 0
 
             self._publish_statuses(step, bits)
             records = self._read_records(step)
@@ -303,10 +302,6 @@ class _Run:
                                        res.mean_individual_cost,
                                        res.mean_compliance))
                 self._settlements(step, bits, res.stakes)
-            else:
-                for i, a in enumerate(self.agents):
-                    if not bits[i]:
-                        self.all_compliant[a] = False
 
             if cfg.outputs.agent_trace:
                 for i, a in enumerate(self.agents):
@@ -322,9 +317,9 @@ class _Run:
 
         if (self.controlled
                 and cfg.escrow.policy is PenaltyPolicy.FIXED_PENALTY):
-            for a in self.agents:
+            for a, compliant in zip(self.agents, self.all_compliant.tolist()):
                 if self.bank.bonds[a].state is BondState.ACTIVE:
-                    self.bank.settle_exit(a, self.all_compliant[a], steps)
+                    self.bank.settle_exit(a, compliant, steps)
             self.bank.commit()
             if not self.bank.conservation_ok():
                 raise InvariantBreach("escrow: conservation violated at exit")

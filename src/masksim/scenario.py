@@ -75,6 +75,10 @@ class ScenarioConfig:
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
     def __post_init__(self):
+        # the runner derives channel keys from the seed as 16 signed bytes
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or not 0 <= self.seed < 2**127):
+            raise ConfigError("seed: must be an integer in [0, 2**127)")
         if self.steps < 1:
             raise ConfigError("steps: must be >= 1")
         if len(self.anchors) < 3:
@@ -97,13 +101,19 @@ def _build_section(cls, doc: dict, path: str, **fixed):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _number_pair(item, path: str, expected: str) -> tuple[float, float]:
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise ConfigError(f"{path}: expected {expected}")
+    try:
+        return float(item[0]), float(item[1])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected {expected} as numbers") from None
+
+
 def _parse_world(doc: dict, seed: int) -> WorldConfig:
     doc = dict(doc)
     if "room" in doc:
-        room = doc["room"]
-        if (not isinstance(room, (list, tuple)) or len(room) != 2):
-            raise ConfigError("world.room: expected [width, height]")
-        doc["room"] = (float(room[0]), float(room[1]))
+        doc["room"] = _number_pair(doc["room"], "world.room", "[width, height]")
     return _build_section(WorldConfig, doc, "world", seed=seed)
 
 
@@ -144,12 +154,8 @@ def _parse_detector(doc: dict) -> DetectorConfig:
 def _parse_anchors(doc) -> list[tuple[float, float]]:
     if not isinstance(doc, list):
         raise ConfigError("anchors: expected a list of [x, y] pairs")
-    out = []
-    for i, item in enumerate(doc):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigError(f"anchors[{i}]: expected [x, y]")
-        out.append((float(item[0]), float(item[1])))
-    return out
+    return [_number_pair(item, f"anchors[{i}]", "[x, y]")
+            for i, item in enumerate(doc)]
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -166,8 +172,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if "seed" not in doc:
         raise ConfigError("seed: required (runs never use wall-clock entropy)")
     seed = doc["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError("seed: must be an integer")
     try:
         steps = int(doc.get("steps", 100))
     except (TypeError, ValueError):

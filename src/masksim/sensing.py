@@ -75,10 +75,10 @@ class MaskDetector:
             log.warning("dropping non-finite sample at t=%s", sample.t)
             return None
         self._window.append(sample)
-        if len(self._window) < self.config.window:
+        means = self.window_means()
+        if means is None:
             return None
-        mean_eco2 = sum(s.eco2 for s in self._window) / len(self._window)
-        mean_tvoc = sum(s.tvoc for s in self._window) / len(self._window)
+        mean_eco2, mean_tvoc = means
         eco2_high = mean_eco2 > self.config.eco2_threshold
         tvoc_high = mean_tvoc > self.config.tvoc_threshold
         if self.config.combine is CombineRule.AND:

@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from masksim.cli import main as cli_main
-from masksim.controller import ControllerParams, simulate_compliance
+from masksim.controller import (ComplianceController, ControllerParams,
+                                simulate_compliance)
 from masksim.epidemic import WorldConfig, run
 from masksim.escrow import BondState, EscrowBank, PenaltyPolicy
 from masksim.ledger import ChannelMode, MamChannel, Tangle, mam_fetch
@@ -267,23 +268,29 @@ def test_07_token_conservation():
 # -- 8: windowed-average oracle -----------------------------------------------
 
 def test_08_windowed_average_oracle():
-    from masksim.controller import update_windowed_average
-
+    # 400 random histories of 1..64 bits, one agent each.  Leading zeros pad
+    # every history to 64 steps: the average stays exactly 0.0 through them,
+    # so each agent's final average is that of its own history.
     rng = np.random.default_rng(5)
+    histories = [rng.integers(0, 2, size=int(rng.integers(1, 65)))
+                 for _ in range(400)]
+    padded = np.zeros((64, len(histories)))
+    for a, bits in enumerate(histories):
+        padded[64 - len(bits):, a] = bits
     worst = 0.0
-    for _ in range(400):
-        bits = rng.integers(0, 2, size=int(rng.integers(1, 65)))
-        for gamma in (0.1, 0.5, 0.9):
-            avg = 0.0
-            for m in bits:
-                avg = update_windowed_average(avg, int(m), gamma)
+    for gamma in (0.1, 0.5, 0.9):
+        ctrl = ComplianceController(ControllerParams(gamma=gamma),
+                                    [f"a{a}" for a in range(len(histories))])
+        for k, bits in enumerate(padded, start=1):
+            ctrl.step(k, bits)
+        for a, bits in enumerate(histories):
             k = len(bits)
             direct = (1 - gamma) * sum(gamma ** (k - j) * bits[j - 1]
                                        for j in range(1, k + 1))
-            worst = max(worst, abs(avg - direct))
+            worst = max(worst, abs(ctrl.windowed_avgs[a] - direct))
     assert worst < 1e-12, f"worst deviation {worst:.2e}"
     report("windowed-average oracle",
-           f"recursive vs direct sum worst deviation {worst:.2e}")
+           f"controller vs direct sum worst deviation {worst:.2e}")
 
 
 # -- 9: determinism -----------------------------------------------------------

@@ -8,12 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masksim.controller import (ComplianceController, ControllerParams,
-                                LOGISTIC, compliance_probability,
-                                decode_cost_vector, encode_cost_vector,
-                                make_link, scaled_logistic,
-                                simulate_compliance, stake_amount,
-                                update_global_cost, update_individual_cost,
-                                update_windowed_average)
+                                LOGISTIC, decode_cost_vector,
+                                encode_cost_vector, make_link,
+                                scaled_logistic, simulate_compliance)
+
+
+# =============================================================================
+# Scalar oracles: the control laws as written in the paper, one agent at a
+# time.  The controller implements them on whole arrays.
+# =============================================================================
+
+def windowed_average_oracle(prev_avg, m, gamma):
+    return gamma * prev_avg + (1.0 - gamma) * m
+
+
+def global_cost_oracle(cost, mean_compliance, alpha, q_star):
+    return cost + alpha * (q_star - mean_compliance)
+
+
+def individual_cost_oracle(cost, windowed_avg, beta, q_star):
+    return cost + beta * (q_star - windowed_avg)
+
+
+def compliance_probability_oracle(q, global_cost, individual_cost):
+    return 1.0 / (1.0 + math.exp(-(q + global_cost + individual_cost)))
+
+
+def stake_oracle(global_cost, individual_cost):
+    return max(0.0, global_cost + individual_cost)
 
 
 def direct_windowed_average(bits, gamma):
@@ -23,41 +45,79 @@ def direct_windowed_average(bits, gamma):
                              for j in range(1, k + 1))
 
 
+def one_step_controller(n, **params):
+    """A controller whose first step acts on its own measurement (delay 0)."""
+    return ComplianceController(ControllerParams(delay=0, **params),
+                                [f"a{i}" for i in range(n)])
+
+
+def windowed_averages(bits, gamma):
+    """Windowed averages of one agent after each step of ``bits``."""
+    ctrl = one_step_controller(1, gamma=gamma)
+    out = []
+    for k, m in enumerate(bits, start=1):
+        ctrl.step(k, np.array([float(m)]))
+        out.append(ctrl.windowed_avg_of("a0"))
+    return out
+
+
 # =============================================================================
 # Global and individual cost updates
 # =============================================================================
 
 def test_global_update_frozen_value():
     # C=2.0, alpha=0.5, Q*=0.8, mean=0.6 -> 2.0 + 0.5*(0.8-0.6) = 2.1
-    assert update_global_cost(2.0, 0.6, alpha=0.5, q_star=0.8) == pytest.approx(2.1)
+    ctrl = one_step_controller(5, alpha=0.5, q_star=0.8,
+                               initial_global_cost=2.0)
+    res = ctrl.step(1, np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+    assert res.mean_compliance == 0.6
+    assert ctrl.global_cost == global_cost_oracle(2.0, 0.6, 0.5, 0.8)
+    assert ctrl.global_cost == pytest.approx(2.1)
 
 
 def test_global_update_equilibrium():
-    assert update_global_cost(1.7, 0.8, alpha=0.5, q_star=0.8) == 1.7
+    ctrl = one_step_controller(5, alpha=0.5, q_star=0.8,
+                               initial_global_cost=1.7)
+    ctrl.step(1, np.array([1.0, 1.0, 1.0, 1.0, 0.0]))   # mean 0.8 = Q*
+    assert ctrl.global_cost == 1.7
 
 
 def test_global_update_can_go_negative():
-    # C=0, alpha=1, Q*=0.9, mean=1.0 -> -0.1
-    assert update_global_cost(0.0, 1.0, alpha=1.0, q_star=0.9) == pytest.approx(-0.1)
+    ctrl = one_step_controller(3, alpha=1.0, q_star=0.9)
+    res = ctrl.step(1, {"a0": 1, "a1": 1, "a2": 1})
+    assert res.global_cost == global_cost_oracle(0.0, 1.0, 1.0, 0.9)
+    assert res.global_cost == pytest.approx(-0.1)
 
 
 def test_global_update_rejects_bad_mean():
-    with pytest.raises(ValueError):
-        update_global_cost(0.0, 1.2, alpha=1.0, q_star=0.9)
+    ctrl = one_step_controller(1, alpha=1.0, q_star=0.9)
+    with pytest.raises(ValueError, match="outside"):
+        ctrl.step(1, {"a0": 1.2})
+    assert ctrl.global_cost == 0.0 and ctrl.windowed_avgs[0] == 0.0
 
 
 def test_individual_update_fixed_point():
-    assert update_individual_cost(0.0, 0.9, beta=1.0, q_star=0.9) == 0.0
+    # gamma=0.1: one compliant step lifts the average to 0.9 = Q*
+    ctrl = one_step_controller(1, beta=1.0, gamma=0.1, q_star=0.9)
+    ctrl.step(1, {"a0": 1})
+    assert ctrl.windowed_avg_of("a0") == 0.9
+    assert ctrl.cost_of("a0") == individual_cost_oracle(0.0, 0.9, 1.0, 0.9)
+    assert ctrl.cost_of("a0") == 0.0
 
 
 def test_individual_update_frozen_value():
-    # c=1.0, beta=2, Q*=0.9, avg=0.4 -> 1 + 2*0.5 = 2.0
-    assert update_individual_cost(1.0, 0.4, beta=2.0, q_star=0.9) == pytest.approx(2.0)
-
-
-def test_zero_beta_leaves_cost_constant():
-    for avg in (0.0, 0.3, 1.0):
-        assert update_individual_cost(1.5, avg, beta=0.0, q_star=0.9) == 1.5
+    # c=1.0, beta=2, Q*=0.9, avg=0.4 -> 1 + 2*0.5 = 2.0; a second agent with
+    # avg=0 and c=-1 checks the law per agent
+    ctrl = one_step_controller(2, beta=2.0, gamma=0.6, q_star=0.9)
+    ctrl.individual_costs[:] = [1.0, -1.0]
+    ctrl.step(1, {"a0": 1, "a1": 0})
+    assert ctrl.windowed_avg_of("a0") == pytest.approx(0.4)
+    for agent, c0 in (("a0", 1.0), ("a1", -1.0)):
+        want = individual_cost_oracle(c0, ctrl.windowed_avg_of(agent),
+                                      2.0, 0.9)
+        assert ctrl.cost_of(agent) == want
+    assert ctrl.cost_of("a0") == pytest.approx(2.0)
+    assert ctrl.cost_of("a1") == pytest.approx(0.8)
 
 
 # =============================================================================
@@ -66,27 +126,18 @@ def test_zero_beta_leaves_cost_constant():
 
 def test_windowed_average_frozen_sequence():
     # gamma=0.5, M=[1,0,1] -> [0.5, 0.25, 0.625]
-    avg = 0.0
-    got = []
-    for m in [1, 0, 1]:
-        avg = update_windowed_average(avg, m, gamma=0.5)
-        got.append(avg)
+    got = windowed_averages([1, 0, 1], gamma=0.5)
     assert got == pytest.approx([0.5, 0.25, 0.625], abs=1e-15)
     assert direct_windowed_average([1, 0, 1], 0.5) == pytest.approx(0.625)
 
 
 def test_windowed_average_all_zero():
-    avg = 0.0
-    for _ in range(50):
-        avg = update_windowed_average(avg, 0, gamma=0.7)
-    assert avg == 0.0
+    assert windowed_averages([0] * 50, gamma=0.7) == [0.0] * 50
 
 
 def test_windowed_average_all_ones_geometric():
     gamma = 0.9
-    avg = 0.0
-    for k in range(1, 80):
-        avg = update_windowed_average(avg, 1, gamma)
+    for k, avg in enumerate(windowed_averages([1] * 79, gamma), start=1):
         assert avg == pytest.approx(1 - gamma ** k, abs=1e-12)
 
 
@@ -94,10 +145,12 @@ def test_windowed_average_all_ones_geometric():
        gamma=st.sampled_from([0.1, 0.5, 0.9]))
 @settings(max_examples=300, deadline=None)
 def test_recursive_matches_direct_sum(bits, gamma):
-    avg = 0.0
-    for m in bits:
-        avg = update_windowed_average(avg, m, gamma)
-    assert abs(avg - direct_windowed_average(bits, gamma)) < 1e-12
+    got = windowed_averages(bits, gamma)
+    want = 0.0
+    for k, m in enumerate(bits):
+        want = windowed_average_oracle(want, m, gamma)
+        assert got[k] == want                    # same recursion, bit-exact
+    assert abs(got[-1] - direct_windowed_average(bits, gamma)) < 1e-12
 
 
 # =============================================================================
@@ -105,14 +158,21 @@ def test_recursive_matches_direct_sum(bits, gamma):
 # =============================================================================
 
 def test_logistic_at_zero():
-    assert compliance_probability(0.0, 0.0, 0.0) == pytest.approx(0.5)
+    ctrl = one_step_controller(1)
+    assert ctrl.probabilities(np.zeros(1))[0] == pytest.approx(0.5)
 
 
 def test_logistic_frozen_value():
-    # q=1, C=1, c=0 -> 1/(1+e^-2)
-    assert compliance_probability(1.0, 1.0, 0.0) == \
-        pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-15)
-    assert compliance_probability(1.0, 1.0, 0.0) == pytest.approx(0.880797, abs=1e-6)
+    # q=1, C=1, c=0 -> 1/(1+e^-2); a second agent with c=-3 sums below zero
+    ctrl = one_step_controller(2, initial_global_cost=1.0)
+    ctrl.individual_costs[:] = [0.0, -3.0]
+    q = np.array([1.0, 1.0])
+    probs = ctrl.probabilities(q)
+    for i in range(2):
+        assert probs[i] == pytest.approx(compliance_probability_oracle(
+            q[i], 1.0, ctrl.individual_costs[i]), abs=1e-15)
+    assert probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-15)
+    assert probs[0] == pytest.approx(0.880797, abs=1e-6)
 
 
 @pytest.mark.parametrize("link", [LOGISTIC, scaled_logistic(2.0, 1.0),
@@ -133,9 +193,16 @@ def test_scaled_logistic_rejects_nonpositive_scale():
 
 
 def test_stake_amount_clamps_at_zero():
-    assert stake_amount(3.0, 1.0) == 4.0
-    assert stake_amount(-2.0, 1.0) == 0.0
-    assert stake_amount(0.0, 0.0) == 0.0
+    ctrl = one_step_controller(3, initial_global_cost=3.0)
+    ctrl.individual_costs[:] = [1.0, -5.0, -3.0]
+    assert ctrl.stakes() == {"a0": 4.0, "a1": 0.0, "a2": 0.0}
+    ctrl.global_cost = -2.0
+    ctrl.individual_costs[:] = [1.0, 2.0, 0.0]
+    stakes = ctrl.stakes()
+    assert stakes == {"a0": 0.0, "a1": 0.0, "a2": 0.0}
+    for i, (agent, stake) in enumerate(stakes.items()):
+        assert type(stake) is float
+        assert stake == stake_oracle(-2.0, ctrl.individual_costs[i])
 
 
 # =============================================================================
@@ -145,6 +212,8 @@ def test_stake_amount_clamps_at_zero():
 def test_params_validation():
     with pytest.raises(ValueError):
         ControllerParams(alpha=0.0)
+    with pytest.raises(ValueError):     # a constant-cost law is rejected
+        ControllerParams(beta=0.0)
     with pytest.raises(ValueError):
         ControllerParams(gamma=1.0)
     with pytest.raises(ValueError):

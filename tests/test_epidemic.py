@@ -7,7 +7,7 @@ import pytest
 
 from masksim.epidemic import (Health, World, WorldConfig, advance,
                               contact_pairs, health_transitions,
-                              infection_probability, infection_trials,
+                              infection_trials,
                               keyed_uniform_agents, keyed_uniform_pairs,
                               run, sample_mask_bits, step_movement)
 
@@ -99,17 +99,46 @@ def test_contact_pairs_trivial_sizes():
 # Infection arithmetic
 # =============================================================================
 
-def test_perfect_mask_blocks_everything():
-    assert infection_probability(0.3, 1.0, 1, 0.5, 0) == 0.0
-    assert infection_probability(0.3, 0.5, 0, 1.0, 1) == 0.0
+def infection_probability_oracle(p0, m_i, big_m_i, m_j, big_m_j):
+    """Per-trial infection probability for one susceptible/infected contact."""
+    return p0 * (1.0 - m_i * big_m_i) * (1.0 - m_j * big_m_j)
 
 
-def test_frozen_probability_both_masked():
-    assert infection_probability(0.3, 0.9, 1, 0.9, 1) == pytest.approx(0.003)
+@pytest.mark.parametrize("p0,effect,mask_share,per_trial", [
+    pytest.param(1.0, 1.0, 1.0, 0.0, id="perfect-mask"),
+    pytest.param(0.3, 0.9, 1.0, 0.003, id="both-masked"),
+    pytest.param(0.01, 0.9, 0.0, 0.01, id="masks-off"),
+    pytest.param(0.05, 0.6, 0.5, None, id="mixed"),
+])
+def test_infection_trials_match_oracle(p0, effect, mask_share, per_trial):
+    """The newly infected are exactly the susceptibles in contact with an
+    infected agent whose pair draw falls below the oracle probability."""
+    cfg = WorldConfig(n_agents=400, room=(10.0, 5.0), p0=p0,
+                      mask_effectiveness=effect, initial_infected=100, seed=3)
+    w = World(cfg)
+    w.mask_bits[:] = np.random.default_rng(11).random(cfg.n_agents) < mask_share
+    before = w.health.copy()
+    masks = w.mask_bits.tolist()
+    step = 7
+    ii, jj = contact_pairs(w.positions, cfg.epsilon)
+    draws = keyed_uniform_pairs(cfg.seed, step, ii, jj)
+    expected, probs = set(), set()
+    for i, j, u in zip(ii.tolist(), jj.tolist(), draws.tolist()):
+        for s, o in ((i, j), (j, i)):
+            if before[s] == Health.SUSCEPTIBLE and before[o] == Health.INFECTED:
+                p = infection_probability_oracle(p0, effect, masks[s],
+                                                 effect, masks[o])
+                probs.add(p)
+                if u < p:
+                    expected.add(s)
 
-
-def test_masks_off_gives_p0():
-    assert infection_probability(0.3, 0.9, 0, 0.9, 0) == 0.3
+    assert infection_trials(w, ii, jj, step) == len(expected)
+    assert set(np.flatnonzero(w.health != before).tolist()) == expected
+    assert np.all(w.health[list(expected)] == Health.INFECTED)
+    assert np.all(w.infected_since[list(expected)] == step)
+    if per_trial is not None:               # a single mask configuration
+        assert list(probs) == [pytest.approx(per_trial)]
+    assert (len(expected) > 0) == (per_trial != 0.0)
 
 
 def test_infection_trials_respect_keyed_uniforms():

@@ -7,7 +7,7 @@ import pytest
 
 from masksim.ledger import (ChannelKeyError, ChannelMode, ChannelReader,
                             IntegrityError, MamChannel, PayloadTooLarge,
-                            Tangle, channel_address, mam_fetch, mam_publish,
+                            Tangle, channel_address, mam_fetch,
                             transaction_id, ZERO32)
 
 
@@ -166,7 +166,7 @@ def test_mam_round_trip_all_modes(mode, key):
     ch = MamChannel(mode, root, side_key=key)
     messages = [b"one", b"two", b"three"]
     for m in messages:
-        mam_publish(t, ch, m)
+        ch.publish(t, m)
     got = mam_fetch(t, ch.base_address, mode, key)
     assert got == messages
 
@@ -174,7 +174,7 @@ def test_mam_round_trip_all_modes(mode, key):
 def test_restricted_fetch_without_key_yields_nothing():
     t = Tangle()
     ch = MamChannel(ChannelMode.RESTRICTED, bytes(32), side_key=b"secret")
-    mam_publish(t, ch, b"hidden")
+    ch.publish(t, b"hidden")
     assert mam_fetch(t, ch.base_address, ChannelMode.RESTRICTED, None) == []
     assert mam_fetch(t, ch.base_address, ChannelMode.RESTRICTED, b"wrong") == []
 
@@ -187,7 +187,7 @@ def test_unknown_address_fetches_empty():
 def test_public_single_message_plaintext_on_ledger():
     t = Tangle()
     ch = MamChannel(ChannelMode.PUBLIC, bytes(32))
-    mam_publish(t, ch, b"plain payload")
+    ch.publish(t, b"plain payload")
     assert mam_fetch(t, ch.base_address, ChannelMode.PUBLIC) == [b"plain payload"]
     # public mode never encrypts: the bytes sit verbatim inside the envelope
     tx = t.transactions_at(ch.base_address)[0]
@@ -197,7 +197,7 @@ def test_public_single_message_plaintext_on_ledger():
 def test_restricted_payload_not_plaintext_on_ledger():
     t = Tangle()
     ch = MamChannel(ChannelMode.RESTRICTED, bytes(32), side_key=b"secret")
-    mam_publish(t, ch, b"very confidential")
+    ch.publish(t, b"very confidential")
     tx = t.transactions_at(ch.base_address)[0]
     assert b"very confidential" not in tx.payload
 
@@ -206,11 +206,11 @@ def test_channel_reader_is_incremental():
     t = Tangle()
     ch = MamChannel(ChannelMode.PUBLIC, bytes(32))
     reader = ChannelReader(t, ch.base_address, ChannelMode.PUBLIC)
-    mam_publish(t, ch, b"m0")
+    ch.publish(t, b"m0")
     assert [m.body for m in reader.poll()] == [b"m0"]
     assert reader.poll() == []
-    mam_publish(t, ch, b"m1")
-    mam_publish(t, ch, b"m2")
+    ch.publish(t, b"m1")
+    ch.publish(t, b"m2")
     assert [m.body for m in reader.poll()] == [b"m1", b"m2"]
 
 
@@ -219,7 +219,7 @@ def test_channel_message_ordering_is_publish_order():
     ch = MamChannel(ChannelMode.PRIVATE, bytes(32))
     msgs = [f"msg-{i}".encode() for i in range(25)]
     for m in msgs:
-        mam_publish(t, ch, m)
+        ch.publish(t, m)
     assert mam_fetch(t, ch.base_address, ChannelMode.PRIVATE) == msgs
 
 
@@ -259,7 +259,7 @@ def test_snapshot_round_trip(tmp_path):
     t = Tangle(rng_seed=9)
     ch = MamChannel(ChannelMode.PUBLIC, bytes(32))
     for i in range(30):
-        mam_publish(t, ch, f"r{i}".encode())
+        ch.publish(t, f"r{i}".encode())
         t.append(f"x{i}".encode())
     path = tmp_path / "ledger.json"
     t.save(path)

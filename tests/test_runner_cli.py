@@ -344,6 +344,32 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+WORLD = {"n_agents": 8, "mask_mode": "controller"}
+
+
+@pytest.mark.parametrize("over,args,field", [
+    pytest.param({"seed": -1}, [], "seed", id="seed-negative"),
+    pytest.param({"seed": True}, [], "seed", id="seed-bool"),
+    pytest.param({"seed": 2**127}, [], "seed", id="seed-too-large"),
+    pytest.param({"world": {**WORLD, "initial_infected": -1}}, [],
+                 "initial_infected", id="initial-infected-negative"),
+    pytest.param({"world": {**WORLD, "room": ["a", 1]}}, [], "world.room",
+                 id="room-not-numeric"),
+    pytest.param({"anchors": [[0, 0], ["a", 1], [0, 10]]}, [], "anchors[1]",
+                 id="anchor-not-numeric"),
+    pytest.param({}, ["--steps", "0"], "steps", id="override-steps-0"),
+    pytest.param({}, ["--seed", "-1"], "seed", id="override-seed-negative"),
+])
+def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, over, args,
+                                                field):
+    cfg = write_config(tmp_path, **over)
+    assert main(["simulate", str(cfg), *args,
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert "Traceback" not in err
+
+
 def test_cli_missing_config_exit_4(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json")]) == 4
 
