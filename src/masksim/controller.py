@@ -177,7 +177,9 @@ class ComplianceController:
     # -- stepping ---------------------------------------------------------
 
     def _coerce_bits(self, records, step: int) -> tuple[np.ndarray, np.ndarray]:
-        """Normalize records to (bits, present-mask) over the agent order."""
+        """Normalize records to (bits, present-mask) over the agent order;
+        a bit other than 0 or 1 raises ``ValueError`` before any state
+        changes."""
         n = len(self.agents)
         bits = np.zeros(n)
         present = np.zeros(n, dtype=bool)
@@ -198,6 +200,11 @@ class ComplianceController:
         else:
             for agent_id, m in records.items():
                 put(agent_id, m)
+        bad = np.flatnonzero((bits != 0.0) & (bits != 1.0))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"step {step}: agent {self.agents[i]!r}: mask bit "
+                             f"{float(bits[i])!r} outside {{0, 1}}")
         for i, got in enumerate(present):
             if not got:
                 self.gap_events.append((step, self.agents[i]))
@@ -215,8 +222,6 @@ class ComplianceController:
 
         if present.any():
             mean_now = float(bits[present].mean())
-            if not 0.0 <= mean_now <= 1.0:
-                raise ValueError(f"mean compliance {mean_now} outside [0, 1]")
         elif self._mean_history:
             mean_now = self._mean_history[-1]
         else:

@@ -43,6 +43,14 @@ class Health(IntEnum):
     IMMUNE_SERIOUS = 3
 
 
+# plain-int copies for array comparisons: an IntEnum member costs an
+# ``EnumType.__getattr__`` per use, several times a plain int's comparison
+_SUSCEPTIBLE = int(Health.SUSCEPTIBLE)
+_INFECTED = int(Health.INFECTED)
+_IMMUNE_SLIGHT = int(Health.IMMUNE_SLIGHT)
+_IMMUNE_SERIOUS = int(Health.IMMUNE_SERIOUS)
+
+
 # =============================================================================
 # Keyed uniform streams (counter-based, order-independent)
 # =============================================================================
@@ -151,10 +159,10 @@ class World:
                                       0.0, 100.0, n)
         self.q = rng.normal(config.q_mean, config.q_sd, size=n)
         self.mask_effect = np.full(n, config.mask_effectiveness)
-        self.health = np.full(n, Health.SUSCEPTIBLE, dtype=np.int8)
+        self.health = np.full(n, _SUSCEPTIBLE, dtype=np.int8)
         self.infected_since = np.full(n, -1, dtype=np.int64)
         seeds = rng.choice(n, size=config.initial_infected, replace=False)
-        self.health[seeds] = Health.INFECTED
+        self.health[seeds] = _INFECTED
         self.infected_since[seeds] = 0
         self.mask_bits = np.zeros(n, dtype=np.int8)
         self._move_rng = np.random.default_rng([config.seed, _S_MOVE])
@@ -164,10 +172,8 @@ class World:
         return self.config.n_agents
 
     def counts(self) -> tuple[int, int, int, int]:
-        return (int(np.sum(self.health == Health.SUSCEPTIBLE)),
-                int(np.sum(self.health == Health.INFECTED)),
-                int(np.sum(self.health == Health.IMMUNE_SLIGHT)),
-                int(np.sum(self.health == Health.IMMUNE_SERIOUS)))
+        s, i, slight, serious = np.bincount(self.health, minlength=4).tolist()
+        return s, i, slight, serious
 
 
 def _truncated_normal(rng, mean, sd, lo, hi, n) -> np.ndarray:
@@ -207,47 +213,71 @@ def step_movement(world: World) -> None:
         world.velocities[high, axis] = -world.velocities[high, axis]
 
 
-def contact_pairs(positions: np.ndarray, epsilon: float
+def contact_pairs(positions: np.ndarray, epsilon: float,
+                  sources: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """All unordered pairs within ``epsilon`` (inclusive), as (i, j), i < j.
+    """Unordered pairs within ``epsilon`` (inclusive), as (i, j), i < j.
+
+    Without ``sources``, all such pairs.  With a boolean ``sources`` mask,
+    only the pairs that join a source to a non-source.
 
     A sorted-cell join (the linked-cell method): agents are keyed by the
-    row-major index of their grid cell of side ``epsilon`` and sorted by
-    key.  Each agent's candidates are the later members of its own cell and
-    all members of its E, NW, N and NE neighbours, found by ``searchsorted``
-    on the sorted keys; these five offsets visit every adjacent cell pair
-    exactly once.  Only candidates are distance-checked, so the result is
-    exactly the all-pairs answer, just cheaper for sparse crowds.
+    row-major index of their grid cell of side ``epsilon``, and the agents
+    that can be found are sorted by key.  Each querying agent's candidates
+    are found by ``searchsorted`` on the sorted keys, in a stencil of
+    neighbouring cells:
+
+    - without ``sources`` every agent is both found and querying; it looks
+      at the later members of its own cell and at all members of its E,
+      NW, N and NE neighbours, offsets that visit every adjacent cell pair
+      exactly once;
+    - with ``sources`` only the non-sources are sorted, and each source
+      looks at all nine cells around and including its own.
+
+    Only candidates are distance-checked, so the result is exactly the
+    all-pairs answer, just cheaper for sparse crowds.
     """
+    empty = (np.empty(0, dtype=np.int64),) * 2
     n = len(positions)
     if n < 2:
-        return (np.empty(0, dtype=np.int64),) * 2
+        return empty
     cells = np.floor(positions / epsilon).astype(np.int64)
     cells -= cells.min(axis=0)
-    # an empty margin column: E and NW offsets past a row's end land in it
-    # instead of wrapping onto an occupied cell of the neighbouring row.
-    # A grid too large for int64 wraps keys and targets alike, so distant
+    # an empty margin column: offsets that step past either end of a row
+    # (E, NE and SE past the last cell; W, NW and SW before the first) land
+    # in it instead of wrapping onto an occupied cell of another row.  A
+    # grid too large for int64 wraps keys and targets alike, so distant
     # cells may share a key (extra candidates, dropped by the distance
     # check) but no neighbour is missed.
     width = int(cells[:, 0].max()) + 2
     key = cells[:, 1] * width + cells[:, 0]
-    order = np.argsort(key, kind="stable")
+    if sources is None:
+        order = np.argsort(key, kind="stable")
+        queries = order
+        offsets = [0, 1, width - 1, width, width + 1]
+    else:
+        queries = np.flatnonzero(sources)
+        found = np.flatnonzero(~sources)
+        if len(queries) == 0 or len(found) == 0:
+            return empty
+        order = found[np.argsort(key[found], kind="stable")]
+        offsets = [-width - 1, -width, -width + 1, -1, 0, 1,
+                   width - 1, width, width + 1]
     sk = key[order]
-
-    offsets = np.array([0, 1, width - 1, width, width + 1], dtype=np.int64)
-    targets = sk + offsets[:, None]
+    targets = key[queries] + np.array(offsets, dtype=np.int64)[:, None]
     lo = np.searchsorted(sk, targets, side="left")
     hi = np.searchsorted(sk, targets, side="right")
-    lo[0] = np.arange(1, n + 1)         # own cell: later members only
+    if sources is None:
+        lo[0] = np.arange(1, n + 1)     # own cell: later members only
 
     counts = (hi - lo).ravel()
-    src = np.repeat(np.tile(np.arange(n), len(offsets)), counts)
+    ii = np.repeat(np.tile(queries, len(offsets)), counts)
     # each candidate's sorted index: its range start plus its rank within
-    rank = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
-    dst = np.repeat(lo.ravel(), counts) + rank
-    ii, jj = order[src], order[dst]
-    d = positions[ii] - positions[jj]
-    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= epsilon * epsilon
+    rank = np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts, counts)
+    jj = order[np.repeat(lo.ravel(), counts) + rank]
+    x, y = positions[:, 0], positions[:, 1]
+    dx, dy = x[ii] - x[jj], y[ii] - y[jj]
+    near = dx * dx + dy * dy <= epsilon * epsilon
     ii, jj = ii[near], jj[near]
     return np.minimum(ii, jj), np.maximum(ii, jj)
 
@@ -263,10 +293,10 @@ def infection_trials(world: World, ii: np.ndarray, jj: np.ndarray,
     if len(ii) == 0:
         return 0
     h = world.health
-    sus_i = h[ii] == Health.SUSCEPTIBLE
-    sus_j = h[jj] == Health.SUSCEPTIBLE
-    inf_i = h[ii] == Health.INFECTED
-    inf_j = h[jj] == Health.INFECTED
+    sus_i = h[ii] == _SUSCEPTIBLE
+    sus_j = h[jj] == _SUSCEPTIBLE
+    inf_i = h[ii] == _INFECTED
+    inf_j = h[jj] == _INFECTED
     fwd = sus_i & inf_j     # i susceptible, j infected
     rev = sus_j & inf_i
     s = np.concatenate([ii[fwd], jj[rev]])
@@ -281,7 +311,7 @@ def infection_trials(world: World, ii: np.ndarray, jj: np.ndarray,
     p = cfg.p0 * (1.0 - m[s] * bits[s]) * (1.0 - m[o] * bits[o])
     u = keyed_uniform_pairs(cfg.seed, step, ki, kj)
     newly = np.unique(s[u < p])
-    world.health[newly] = Health.INFECTED
+    world.health[newly] = _INFECTED
     world.infected_since[newly] = step
     return len(newly)
 
@@ -293,7 +323,7 @@ def health_transitions(world: World, step: int) -> None:
     has no influence on which immune state it lands in.
     """
     cfg = world.config
-    due = (world.health == Health.INFECTED) & \
+    due = (world.health == _INFECTED) & \
           (step - world.infected_since >= cfg.recovery_steps)
     if not due.any():
         return
@@ -302,8 +332,8 @@ def health_transitions(world: World, step: int) -> None:
                                     / cfg.sequelae_age_scale))
     u = keyed_uniform_agents(cfg.seed, _S_SEQUELAE, 0, world.n)[due]
     world.health[due] = np.where(u < p_serious,
-                                 Health.IMMUNE_SERIOUS,
-                                 Health.IMMUNE_SLIGHT).astype(np.int8)
+                                 _IMMUNE_SERIOUS,
+                                 _IMMUNE_SLIGHT).astype(np.int8)
 
 
 def sample_mask_bits(world: World, step: int,
@@ -327,10 +357,19 @@ def sample_mask_bits(world: World, step: int,
 
 def advance(world: World, step: int) -> int:
     """One epidemic step after mask bits are set: move, contact, infect,
-    recover.  Returns the number of new infections."""
+    recover.  Returns the number of new infections.
+
+    Only susceptible-infected contacts can infect, so contact detection
+    joins the infected to the susceptibles alone; immune agents take no
+    part.  ``live`` is sorted, so mapping the pairs back keeps i < j, and
+    each trial's draw stays keyed on the agents' own indices.
+    """
     step_movement(world)
-    ii, jj = contact_pairs(world.positions, world.config.epsilon)
-    new = infection_trials(world, ii, jj, step)
+    h = world.health
+    live = np.flatnonzero(h <= _INFECTED)
+    ii, jj = contact_pairs(world.positions[live], world.config.epsilon,
+                           h[live] == _INFECTED)
+    new = infection_trials(world, live[ii], live[jj], step)
     health_transitions(world, step)
     return new
 

@@ -10,6 +10,8 @@ the seed is threaded into every subsystem from the single top-level value.
 from __future__ import annotations
 
 import json
+import math
+import typing
 from dataclasses import dataclass, field, fields
 
 from .controller import ControllerParams, make_link
@@ -24,6 +26,29 @@ DEFAULT_ANCHORS = [(0.0, 0.0), (20.0, 0.0), (0.0, 10.0), (20.0, 10.0)]
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; the message carries the field path."""
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:           # an int beyond the float range
+        return False
+
+
+# what a JSON value must be for a field of each annotated type; fields of
+# other types (enums, pairs, the link) are parsed by their section's helper
+_TYPE_CHECKS = {
+    int: (_is_integer, "an integer"),
+    float: (_is_finite_number, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass
@@ -76,11 +101,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # the runner derives channel keys from the seed as 16 signed bytes
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or not 0 <= self.seed < 2**127):
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**127:
             raise ConfigError("seed: must be an integer in [0, 2**127)")
-        if self.steps < 1:
-            raise ConfigError("steps: must be >= 1")
+        if not _is_integer(self.steps) or self.steps < 1:
+            raise ConfigError("steps: must be an integer >= 1")
         if len(self.anchors) < 3:
             raise ConfigError("anchors: at least 3 anchors required")
         if self.hil.agent_index >= self.world.n_agents:
@@ -95,6 +119,12 @@ def _build_section(cls, doc: dict, path: str, **fixed):
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
+    hints = typing.get_type_hints(cls)
+    for name, value in doc.items():
+        is_valid, expected = _TYPE_CHECKS.get(hints[name], (None, None))
+        if is_valid is not None and not is_valid(value):
+            raise ConfigError(f"{path}.{name}: expected {expected}, "
+                              f"got {value!r}")
     try:
         return cls(**doc, **fixed)
     except (TypeError, ValueError) as exc:
@@ -104,10 +134,9 @@ def _build_section(cls, doc: dict, path: str, **fixed):
 def _number_pair(item, path: str, expected: str) -> tuple[float, float]:
     if not isinstance(item, (list, tuple)) or len(item) != 2:
         raise ConfigError(f"{path}: expected {expected}")
-    try:
-        return float(item[0]), float(item[1])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected {expected} as numbers") from None
+    if not all(_is_finite_number(v) for v in item):
+        raise ConfigError(f"{path}: expected {expected} as finite numbers")
+    return float(item[0]), float(item[1])
 
 
 def _parse_world(doc: dict, seed: int) -> WorldConfig:
@@ -172,13 +201,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if "seed" not in doc:
         raise ConfigError("seed: required (runs never use wall-clock entropy)")
     seed = doc["seed"]
-    try:
-        steps = int(doc.get("steps", 100))
-    except (TypeError, ValueError):
-        raise ConfigError("steps: must be an integer") from None
     return ScenarioConfig(
         seed=seed,
-        steps=steps,
+        steps=doc.get("steps", 100),
         world=_parse_world(doc.get("world", {}), seed),
         controller=_parse_controller(doc.get("controller", {})),
         escrow=_parse_escrow(doc.get("escrow", {})),

@@ -96,6 +96,26 @@ def test_global_update_rejects_bad_mean():
     assert ctrl.global_cost == 0.0 and ctrl.windowed_avgs[0] == 0.0
 
 
+@pytest.mark.parametrize("records,agent", [
+    pytest.param({"a": 3, "b": -1}, "a", id="mapping-mean-in-range"),
+    pytest.param({"a": 1, "b": 0.5}, "b", id="mapping-fraction"),
+    pytest.param({"a": 0, "b": float("nan")}, "b", id="mapping-nan"),
+    pytest.param(np.array([0.0, 2.0]), "b", id="array"),
+])
+def test_step_rejects_bits_other_than_0_or_1(records, agent):
+    ctrl = ComplianceController(ControllerParams(delay=0), ["a", "b"])
+    ctrl.step(1, {"a": 1, "b": 0})
+    before = (ctrl.global_cost, ctrl.individual_costs.copy(),
+              ctrl.windowed_avgs.copy(), list(ctrl.gap_events))
+    with pytest.raises(ValueError, match=f"step 2: agent '{agent}'"):
+        ctrl.step(2, records)
+    assert ctrl.global_cost == before[0]
+    assert np.array_equal(ctrl.individual_costs, before[1])
+    assert np.array_equal(ctrl.windowed_avgs, before[2])
+    assert ctrl.gap_events == before[3]
+    ctrl.step(2, {"a": 1, "b": 1})          # still usable afterwards
+
+
 def test_individual_update_fixed_point():
     # gamma=0.1: one compliant step lifts the average to 0.9 = Q*
     ctrl = one_step_controller(1, beta=1.0, gamma=0.1, q_star=0.9)

@@ -67,7 +67,7 @@ def layout_positions(layout, rng, n, eps):
     raise ValueError(layout)
 
 
-@pytest.mark.parametrize("seed,n,eps,layout", [
+LAYOUTS = [
     pytest.param(0, 200, 2.0, "room", id="0-200-2.0"),
     pytest.param(1, 200, 0.5, "room", id="1-200-0.5"),
     pytest.param(2, 300, 1.3, "room", id="2-300-1.3"),
@@ -78,7 +78,10 @@ def layout_positions(layout, rng, n, eps):
     pytest.param(7, 300, 1.0, "cluster", id="co-located-cluster"),
     pytest.param(8, 150, 50.0, "room", id="epsilon-exceeds-room"),
     pytest.param(9, 200, 1e-9, "near_pairs", id="epsilon-tiny"),
-])
+]
+
+
+@pytest.mark.parametrize("seed,n,eps,layout", LAYOUTS)
 def test_grid_equals_bruteforce(seed, n, eps, layout):
     rng = np.random.default_rng(seed)
     pos = layout_positions(layout, rng, n, eps)
@@ -86,6 +89,43 @@ def test_grid_equals_bruteforce(seed, n, eps, layout):
     got = set(zip(ii.tolist(), jj.tolist()))
     assert len(got) == len(ii)          # no duplicates
     assert got == brute_force_pairs(pos, eps)
+
+
+def source_pairs_oracle(positions, epsilon, sources):
+    """The brute-force pairs that join a source to a non-source."""
+    return {(i, j) for i, j in brute_force_pairs(positions, epsilon)
+            if sources[i] != sources[j]}
+
+
+def assert_source_join(positions, epsilon, sources):
+    ii, jj = contact_pairs(positions, epsilon, sources)
+    assert ii.dtype == jj.dtype == np.int64
+    got = set(zip(ii.tolist(), jj.tolist()))
+    assert len(got) == len(ii)          # no duplicates
+    assert np.all(ii < jj)
+    assert got == source_pairs_oracle(positions, epsilon, sources)
+    return got
+
+
+@pytest.mark.parametrize("seed,n,eps,layout", LAYOUTS)
+def test_source_join_equals_filtered_bruteforce(seed, n, eps, layout):
+    rng = np.random.default_rng(seed)
+    pos = layout_positions(layout, rng, n, eps)
+    sources = rng.random(n) < 0.4
+    assert assert_source_join(pos, eps, sources)    # some pairs to compare
+
+
+@pytest.mark.parametrize("share", ["none", "one", "all"])
+def test_source_join_source_counts(share):
+    rng = np.random.default_rng(12)
+    pos = rng.uniform([0, 0], [10, 5], size=(150, 2))
+    sources = np.zeros(150, dtype=bool)
+    if share == "one":
+        sources[rng.integers(150)] = True
+    elif share == "all":
+        sources[:] = True
+    got = assert_source_join(pos, 1.5, sources)
+    assert (len(got) > 0) == (share == "one")
 
 
 def test_contact_pairs_trivial_sizes():
@@ -312,6 +352,42 @@ def test_run_deterministic_and_csv_bytes_identical(tmp_path):
     s2.to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(s1.infected, s2.infected)
+
+
+def advance_all_pairs_oracle(world, step):
+    """All-pairs reference for ``advance``: every contact pair goes to the
+    trials, which drop all but the susceptible-infected ones."""
+    step_movement(world)
+    ii, jj = contact_pairs(world.positions, world.config.epsilon)
+    new = infection_trials(world, ii, jj, step)
+    health_transitions(world, step)
+    return new
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"mask_fraction": 0.0}, id="fraction-0"),
+    pytest.param({"mask_fraction": 0.3}, id="fraction-0.3"),
+    pytest.param({"mask_fraction": 0.6}, id="fraction-0.6"),
+    pytest.param({"mask_fraction": 0.9}, id="fraction-0.9"),
+    pytest.param({"mask_fraction": 0.5, "recovery_steps": 4, "p0": 0.004},
+                 id="dies-out"),
+])
+def test_advance_equals_all_pairs_oracle(overrides):
+    cfg = WorldConfig(n_agents=500, seed=21, initial_infected=3, **overrides)
+    fast, slow = World(cfg), World(cfg)
+    infected = []
+    for k in range(1, 121):
+        sample_mask_bits(fast, k)
+        sample_mask_bits(slow, k)
+        assert advance(fast, k) == advance_all_pairs_oracle(slow, k)
+        assert np.array_equal(fast.health, slow.health)
+        assert np.array_equal(fast.infected_since, slow.infected_since)
+        assert np.array_equal(fast.positions, slow.positions)
+        infected.append(fast.counts()[1])
+    if "recovery_steps" in overrides:       # extinct well before the end
+        assert infected[-60:] == [0] * 60
+    else:
+        assert max(infected) > 3            # the infection spread
 
 
 def test_run_series_digest_pinned():

@@ -359,6 +359,26 @@ WORLD = {"n_agents": 8, "mask_mode": "controller"}
                  id="anchor-not-numeric"),
     pytest.param({}, ["--steps", "0"], "steps", id="override-steps-0"),
     pytest.param({}, ["--seed", "-1"], "seed", id="override-seed-negative"),
+    pytest.param({"world": {**WORLD, "n_agents": True}}, [], "world.n_agents",
+                 id="n-agents-bool"),
+    pytest.param({"world": {**WORLD, "n_agents": 2.5}}, [], "world.n_agents",
+                 id="n-agents-fraction"),
+    pytest.param({"world": {**WORLD, "recovery_steps": "x"}}, [],
+                 "world.recovery_steps", id="recovery-steps-string"),
+    pytest.param({"world": {**WORLD, "room": [float("nan"), 10]}}, [],
+                 "world.room", id="room-nan"),
+    pytest.param({"world": {**WORLD, "room": ["20", True]}}, [],
+                 "world.room", id="room-string-and-bool"),
+    pytest.param({"world": {**WORLD, "epsilon": float("nan")}}, [],
+                 "world.epsilon", id="epsilon-nan"),
+    pytest.param({"world": {**WORLD, "p0": True}}, [], "world.p0",
+                 id="float-field-bool"),
+    pytest.param({"world": {**WORLD, "mask_mode": 1}}, [], "world.mask_mode",
+                 id="str-field-number"),
+    pytest.param({"outputs": {"agent_trace": "yes"}}, [],
+                 "outputs.agent_trace", id="bool-field-string"),
+    pytest.param({"steps": True}, [], "steps", id="steps-bool"),
+    pytest.param({"steps": 2.7}, [], "steps", id="steps-fraction"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, over, args,
                                                 field):
