@@ -15,8 +15,6 @@ seen-set from the ledger itself.
 
 from __future__ import annotations
 
-import base64
-import json
 import logging
 import threading
 import time
@@ -24,13 +22,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from .ledger import ChannelReader, LedgerError, MamChannel, Tangle
+from .records import decode_bridge_record, encode_bridge
 
 log = logging.getLogger(__name__)
 
 MAX_BUS_PAYLOAD = 64 * 1024
 DEFAULT_BUFFER = 1024
-
-_BRIDGE_VERSION = 1
 
 
 class TopicError(ValueError):
@@ -145,31 +142,14 @@ class MessageBus:
 # =============================================================================
 
 def encode_bridge_record(message: BusMessage) -> bytes:
-    return json.dumps({
-        "v": _BRIDGE_VERSION,
-        "publisher": message.publisher_id,
-        "topic": message.topic,
-        "seq": message.sequence,
-        "payload": base64.b64encode(message.payload).decode("ascii"),
-    }, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    """The bridge record of :mod:`masksim.records` for one bus message.
 
-
-def decode_bridge_record(body: bytes) -> dict | None:
-    try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("v") != _BRIDGE_VERSION:
-        return None
-    try:
-        return {
-            "publisher": doc["publisher"],
-            "topic": doc["topic"],
-            "seq": int(doc["seq"]),
-            "payload": base64.b64decode(doc["payload"]),
-        }
-    except (KeyError, ValueError, TypeError):
-        return None
+    ``decode_bridge_record(body)`` inverts it: a dict with keys
+    ``publisher``, ``topic``, ``seq`` and ``payload``, or ``None`` for a
+    body that is not a bridge record.
+    """
+    return encode_bridge(message.publisher_id, message.topic,
+                         message.sequence, message.payload)
 
 
 class Gateway:
@@ -244,10 +224,16 @@ class Gateway:
 
     def _append_with_retry(self, channel: MamChannel,
                            message: BusMessage) -> bytes | None:
+        try:
+            record = encode_bridge_record(message)
+        except ValueError as exc:       # a field the record cannot hold
+            log.error("dead-lettering %s/%s seq %d: %s", message.publisher_id,
+                      message.topic, message.sequence, exc)
+            return None
         delay = self._backoff_s
         for attempt in range(self._max_retries):
             try:
-                return channel.publish(self._tangle, encode_bridge_record(message))
+                return channel.publish(self._tangle, record)
             except LedgerError as exc:
                 log.warning("ledger append failed (attempt %d): %s", attempt + 1, exc)
                 if delay:

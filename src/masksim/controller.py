@@ -24,7 +24,6 @@ for the step and is logged as a gap event.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -32,10 +31,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .ledger import MamChannel, Tangle
-
-_COST_MAGIC = b"CST1"
-# full per-agent vector fits the 4 KiB transaction limit up to this size
-_COST_VECTOR_LIMIT = 1000
+# re-exported: callers import the cost record's codec from here
+from .records import decode_cost_vector, encode_cost_vector
 
 
 # =============================================================================
@@ -256,36 +253,6 @@ class ComplianceController:
                                   encode_cost_vector(step, self.global_cost,
                                                      self.individual_costs))
         return result
-
-
-# =============================================================================
-# Cost vector codec (controller channel payloads)
-# =============================================================================
-
-def encode_cost_vector(step: int, global_cost: float,
-                       individual_costs: np.ndarray) -> bytes:
-    """Binary cost record: full vector when it fits, summary otherwise."""
-    n = len(individual_costs)
-    if n <= _COST_VECTOR_LIMIT:
-        return (_COST_MAGIC + struct.pack(">IdB", step, global_cost, 1)
-                + struct.pack(">I", n)
-                + np.asarray(individual_costs, dtype=">f4").tobytes())
-    mean_c = float(np.mean(individual_costs)) if n else 0.0
-    return (_COST_MAGIC + struct.pack(">IdB", step, global_cost, 0)
-            + struct.pack(">d", mean_c))
-
-
-def decode_cost_vector(payload: bytes) -> dict:
-    if payload[:4] != _COST_MAGIC:
-        raise ValueError("not a cost record")
-    step, global_cost, full = struct.unpack(">IdB", payload[4:17])
-    if full:
-        (n,) = struct.unpack(">I", payload[17:21])
-        costs = np.frombuffer(payload[21:21 + 4 * n], dtype=">f4").astype(float)
-        return {"step": step, "C": global_cost, "c": costs,
-                "mean_c": float(costs.mean()) if n else 0.0}
-    (mean_c,) = struct.unpack(">d", payload[17:25])
-    return {"step": step, "C": global_cost, "c": None, "mean_c": mean_c}
 
 
 # =============================================================================

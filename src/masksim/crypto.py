@@ -29,10 +29,7 @@ AEAD_TAG_SIZE = 16
 
 def digest(*parts: bytes) -> bytes:
     """SHA-256 over the concatenation of ``parts``."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def derive_key(label: bytes, *parts: bytes) -> bytes:

@@ -166,6 +166,8 @@ class World:
         self.infected_since[seeds] = 0
         self.mask_bits = np.zeros(n, dtype=np.int8)
         self._move_rng = np.random.default_rng([config.seed, _S_MOVE])
+        # the serious-sequelae draw of each agent, fixed for the whole run
+        self.sequelae_u = keyed_uniform_agents(config.seed, _S_SEQUELAE, 0, n)
 
     @property
     def n(self) -> int:
@@ -330,7 +332,7 @@ def health_transitions(world: World, step: int) -> None:
     ages = world.ages[due]
     p_serious = 1.0 / (1.0 + np.exp(-(ages - cfg.sequelae_age_mid)
                                     / cfg.sequelae_age_scale))
-    u = keyed_uniform_agents(cfg.seed, _S_SEQUELAE, 0, world.n)[due]
+    u = world.sequelae_u[due]
     world.health[due] = np.where(u < p_serious,
                                  _IMMUNE_SERIOUS,
                                  _IMMUNE_SLIGHT).astype(np.int8)

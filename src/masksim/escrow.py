@@ -30,29 +30,23 @@ When a ledger channel is attached, every executed transfer is mirrored to
 it, so replaying the channel reconstructs all balances.  Transfers are
 buffered and published as bundles (in the spirit of IOTA bundles): each
 :meth:`EscrowBank.commit` packs the buffered records, in order, into as
-few channel messages as fit one transaction.  A bundle is escrow record
-version 2, one JSON object::
-
-    {"v":2,"transfers":[[step,agent,kind,amount],...]}
-
-with amounts in micro-tokens and ``kind`` one of the transfer kinds or
-``init`` (an agent's opening balance, published at construction).
+few channel messages as fit one transaction.  A bundle is the binary
+escrow record of :mod:`masksim.records`: a transfer count, then per
+transfer its step, kind, amount in micro-tokens and agent id.  ``kind``
+is one of the transfer kinds or ``init`` (an agent's opening balance,
+published at construction).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import Enum
 
 from .ledger import MamChannel, Tangle
+from .records import decode_bundle, encode_bundles
 
 MICRO_PER_TOKEN = 10**6
-
-_RECORD_VERSION = 2
-_BUNDLE_HEAD = '{"v":%d,"transfers":[' % _RECORD_VERSION
-_BUNDLE_TAIL = "]}"
 
 
 class EscrowFault(Exception):
@@ -170,22 +164,10 @@ class EscrowBank:
         per step; without a channel this is a no-op."""
         if not self._pending:
             return
-        items = [json.dumps(list(rec), separators=(",", ":"))
-                 for rec in self._pending]
+        bundles = encode_bundles(self._pending, self._channel.message_limit)
         self._pending = []
-        room = (self._channel.message_limit
-                - len(_BUNDLE_HEAD) - len(_BUNDLE_TAIL))
-        start, size = 0, -1             # size counts the separating commas
-        for i, item in enumerate(items):
-            if i > start and size + 1 + len(item) > room:
-                self._publish_bundle(items[start:i])
-                start, size = i, -1
-            size += 1 + len(item)
-        self._publish_bundle(items[start:])
-
-    def _publish_bundle(self, items: list[str]) -> None:
-        payload = _BUNDLE_HEAD + ",".join(items) + _BUNDLE_TAIL
-        self._channel.publish(self._tangle, payload.encode("ascii"))
+        for payload in bundles:
+            self._channel.publish(self._tangle, payload)
 
     # -- operations ---------------------------------------------------------
 
@@ -318,44 +300,32 @@ class ReplayedState:
 
 def decode_records(payloads: list[bytes]) -> list[Transfer]:
     """All transfers (and ``init`` records) of raw escrow channel payloads,
-    in order.  Raises ``ValueError`` on anything but a version-2 bundle."""
-    out: list[Transfer] = []
-    for payload in payloads:
-        rec = json.loads(payload.decode("utf-8"))
-        if not isinstance(rec, dict) or rec.get("v") != _RECORD_VERSION:
-            raise ValueError(
-                f"unknown escrow record version: {payload[:40]!r}")
-        try:
-            out.extend(Transfer(int(step), agent, kind, int(amount))
-                       for step, agent, kind, amount in rec["transfers"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"malformed escrow bundle: {payload[:40]!r}") from exc
-    return out
+    in order.  Raises ``ValueError`` on anything but an escrow bundle."""
+    return [Transfer(*t) for payload in payloads
+            for t in decode_bundle(payload)]
 
 
 def replay_records(payloads: list[bytes]) -> ReplayedState:
     """Rebuild balances from raw escrow channel payloads, in order."""
     state = ReplayedState()
-    for t in decode_records(payloads):
-        agent, kind, amount = t.agent_id, t.kind, t.amount_micro
-        if kind == "init":
-            state.wallets[agent] = state.wallets.get(agent, 0) + amount
-            continue
-        if agent not in state.wallets:
-            raise ValueError(f"escrow {kind} for {agent!r} before its init")
-        if kind == "deposit":
-            state.wallets[agent] -= amount
-            state.active_bonds[agent] = amount
-        elif kind == "refund":
-            state.wallets[agent] += amount
-            state.active_bonds.pop(agent, None)
-        elif kind == "forfeit":
-            state.forfeited_pool += amount
-            state.active_bonds.pop(agent, None)
-        elif kind == "partial_return":
-            state.forfeited_pool -= amount
-            state.wallets[agent] += amount
-        else:
-            raise ValueError(f"unknown escrow record kind {kind!r}")
+    wallets, bonds = state.wallets, state.active_bonds
+    for payload in payloads:
+        for _, agent, kind, amount in decode_bundle(payload):
+            if kind == "init":
+                wallets[agent] = wallets.get(agent, 0) + amount
+                continue
+            if agent not in wallets:
+                raise ValueError(f"escrow {kind} for {agent!r} before its init")
+            if kind == "deposit":
+                wallets[agent] -= amount
+                bonds[agent] = amount
+            elif kind == "refund":
+                wallets[agent] += amount
+                bonds.pop(agent, None)
+            elif kind == "forfeit":
+                state.forfeited_pool += amount
+                bonds.pop(agent, None)
+            else:                       # partial_return
+                state.forfeited_pool -= amount
+                wallets[agent] += amount
     return state

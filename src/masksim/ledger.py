@@ -25,18 +25,21 @@ zero bytes in the parent slots (a literal fixpoint hash is impossible), and
 ``verify`` knows about that convention.
 
 Concurrency: appends are serialized through one internal lock; reads see a
-consistent prefix and never block appends for long.
+consistent prefix.  ``verify`` holds the lock for its whole walk, so
+appends wait for it.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import random
 import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import crypto
 
@@ -88,8 +91,7 @@ class ChannelKeyError(LedgerError):
 # Transactions and the Tangle
 # =============================================================================
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     """One immutable DAG node.
 
     ``id`` is the hash of (parents, payload, channel_address) and is
@@ -131,7 +133,6 @@ class Tangle:
         self.transactions: dict[bytes, Transaction] = {gid: genesis}
         # insertion-ordered so tip sampling never depends on bytes hashing
         self._tips: dict[bytes, None] = {gid: None}
-        self._children: dict[bytes, int] = {gid: 0}
         self._by_address: dict[bytes, list[bytes]] = {}
         self._next_time = 1
 
@@ -183,10 +184,8 @@ class Tangle:
             tx = Transaction(tid, parents, payload, channel_address, self._next_time)
             self._next_time += 1
             self.transactions[tid] = tx
-            for p in set(parents):
-                self._children[p] = self._children.get(p, 0) + 1
+            for p in parents:
                 self._tips.pop(p, None)
-            self._children.setdefault(tid, 0)
             self._tips[tid] = None
             if channel_address is not None:
                 self._by_address.setdefault(channel_address, []).append(tid)
@@ -200,61 +199,69 @@ class Tangle:
     # -- verification ---------------------------------------------------
 
     def verify(self) -> list[str]:
-        """Run every structural invariant; returns a list of violations."""
-        with self._lock:
-            txs = dict(self.transactions)
-            tips = set(self._tips)
-            genesis = self.genesis
+        """Run every structural invariant; returns a list of violations.
+
+        One walk over the store, holding the lock.  The store keeps append
+        order (``load`` keeps the snapshot's order), logical time must rise
+        strictly along it, and so every parent is met before its children.
+        """
         problems: list[str] = []
+        unreachable: list[bytes] = []
+        with self._lock:
+            txs = self.transactions
+            genesis = self.genesis
+            g = txs.get(genesis)
+            if g is None:
+                return [f"genesis {genesis.hex()} missing from store"]
+            if g.parents != (genesis, genesis):
+                problems.append("genesis does not reference itself twice")
 
-        g = txs.get(genesis)
-        if g is None:
-            return [f"genesis {genesis.hex()} missing from store"]
-        if g.parents != (genesis, genesis):
-            problems.append("genesis does not reference itself twice")
-
-        children: dict[bytes, int] = {t: 0 for t in txs}
-        times = set()
-        for tx in txs.values():
-            is_genesis = tx.id == genesis
-            effective = (ZERO32, ZERO32) if is_genesis else tx.parents
-            if transaction_id(effective, tx.payload, tx.channel_address) != tx.id:
-                problems.append(f"content hash mismatch on {tx.id.hex()[:16]}")
-            if len(tx.payload) > MAX_PAYLOAD:
-                problems.append(f"oversize payload on {tx.id.hex()[:16]}")
-            if len(tx.parents) != 2:
-                problems.append(f"{tx.id.hex()[:16]} does not have 2 parents")
-            if tx.logical_time in times:
-                problems.append(f"duplicate logical_time {tx.logical_time}")
-            times.add(tx.logical_time)
-            if not is_genesis:
-                if tx.id in tx.parents:
-                    problems.append(f"{tx.id.hex()[:16]} references itself")
+            children = dict.fromkeys(txs, 0)
+            reaches: set[bytes] = set()     # every ancestor path ends at genesis
+            last_time = -1
+            for tid, tx in txs.items():
+                is_genesis = tid == genesis
+                effective = (ZERO32, ZERO32) if is_genesis else tx.parents
+                if transaction_id(effective, tx.payload,
+                                  tx.channel_address) != tid:
+                    problems.append(f"content hash mismatch on {tid.hex()[:16]}")
+                if len(tx.payload) > MAX_PAYLOAD:
+                    problems.append(f"oversize payload on {tid.hex()[:16]}")
+                if len(tx.parents) != 2:
+                    problems.append(f"{tid.hex()[:16]} does not have 2 parents")
+                if tx.logical_time <= last_time:
+                    problems.append(
+                        f"{tid.hex()[:16]} is stored out of logical-time order "
+                        f"({tx.logical_time} after {last_time})")
+                last_time = tx.logical_time
+                if is_genesis:
+                    reaches.add(tid)
+                    continue
+                if tid in tx.parents:
+                    problems.append(f"{tid.hex()[:16]} references itself")
+                reached = True
                 for p in tx.parents:
                     parent = txs.get(p)
                     if parent is None:
-                        problems.append(
-                            f"{tx.id.hex()[:16]} has unresolvable parent {p.hex()[:16]}")
-                    else:
-                        children[p] += 1
-                        if parent.logical_time >= tx.logical_time:
-                            problems.append(
-                                f"{tx.id.hex()[:16]} does not postdate parent "
-                                f"{p.hex()[:16]}")
+                        problems.append(f"{tid.hex()[:16]} has unresolvable "
+                                        f"parent {p.hex()[:16]}")
+                        reached = False
+                        continue
+                    children[p] += 1
+                    if parent.logical_time >= tx.logical_time:
+                        problems.append(f"{tid.hex()[:16]} does not postdate "
+                                        f"parent {p.hex()[:16]}")
+                    reached = reached and p in reaches
+                if reached:
+                    reaches.add(tid)
+                else:
+                    unreachable.append(tid)
+            tips = set(self._tips)
 
-        # logical_time strictly increases along parent edges, so passing the
-        # check above already rules out cycles; reachability still needs the
-        # explicit walk because a disconnected second root would slip through.
-        reaches: dict[bytes, bool] = {}
-        for tx in sorted(txs.values(), key=lambda t: t.logical_time):
-            if tx.id == genesis:
-                reaches[tx.id] = True
-            else:
-                reaches[tx.id] = all(reaches.get(p, False) for p in tx.parents)
-        unreachable = [t for t, ok in reaches.items() if not ok]
-        for t in unreachable:
-            problems.append(f"{t.hex()[:16]} cannot reach genesis")
-
+        # the walk meets parents first, so a transaction reaches genesis iff
+        # its parents already did; this catches a disconnected second root
+        problems.extend(f"{t.hex()[:16]} cannot reach genesis"
+                        for t in unreachable)
         expected_tips = {t for t, n in children.items() if n == 0}
         if expected_tips != tips:
             problems.append(
@@ -286,7 +293,7 @@ class Tangle:
         an integer or null, so no JSON escaping is ever needed.
         """
         with self._lock:
-            txs = sorted(self.transactions.values(), key=lambda t: t.logical_time)
+            txs = list(self.transactions.values())
             genesis = self.genesis.hex()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f'{{\n "format": "{SNAPSHOT_FORMAT}",\n'
@@ -327,45 +334,40 @@ class Tangle:
         if not isinstance(records, list):
             raise IntegrityError("snapshot has no transaction list")
 
+        # one pass in snapshot order builds the store, the address index and
+        # the tips, each as ``append`` does, so the tips keep a live tangle's
+        # order; ``verify`` then rejects a snapshot out of append order
         tangle = cls.__new__(cls)
         tangle._lock = threading.RLock()
         tangle._rng = random.Random(rng_seed)
         tangle.genesis = genesis
-        tangle.transactions = {}
-        tangle._tips = {}
-        tangle._children = {}
-        tangle._by_address = {}
+        txs = tangle.transactions = {}
+        tips = tangle._tips = {}
+        by_address = tangle._by_address = {}
+        fromhex, b64decode = bytes.fromhex, binascii.a2b_base64
         max_time = 0
         for rec in records:
             try:
-                tx = Transaction(
-                    id=bytes.fromhex(rec["id"]),
-                    parents=(bytes.fromhex(rec["parents"][0]),
-                             bytes.fromhex(rec["parents"][1])),
-                    payload=base64.b64decode(rec["payload"]),
-                    channel_address=(bytes.fromhex(rec["channel_address"])
-                                     if rec["channel_address"] else None),
-                    logical_time=int(rec["logical_time"]),
-                )
+                tid = fromhex(rec["id"])
+                parents = (fromhex(rec["parents"][0]),
+                           fromhex(rec["parents"][1]))
+                address = rec["channel_address"]
+                tx = Transaction(tid, parents, b64decode(rec["payload"]),
+                                 fromhex(address) if address else None,
+                                 int(rec["logical_time"]))
             except (KeyError, ValueError, IndexError, TypeError) as exc:
                 raise IntegrityError(f"malformed snapshot record: {rec!r}") from exc
-            if tx.id in tangle.transactions:
-                raise IntegrityError(f"duplicate transaction id {tx.id.hex()[:16]}")
-            tangle.transactions[tx.id] = tx
+            if tid in txs:
+                raise IntegrityError(f"duplicate transaction id {tid.hex()[:16]}")
+            txs[tid] = tx
             max_time = max(max_time, tx.logical_time)
+            if tid != genesis:
+                for p in parents:
+                    tips.pop(p, None)
+            tips[tid] = None
             if tx.channel_address is not None:
-                tangle._by_address.setdefault(tx.channel_address, []).append(tx.id)
+                by_address.setdefault(tx.channel_address, []).append(tid)
         tangle._next_time = max_time + 1
-        tangle._children = {t: 0 for t in tangle.transactions}
-        for tx in tangle.transactions.values():
-            if tx.id == tangle.genesis:
-                continue
-            for p in tx.parents:
-                if p in tangle._children:
-                    tangle._children[p] += 1
-        for tx in sorted(tangle.transactions.values(), key=lambda t: t.logical_time):
-            if tangle._children[tx.id] == 0:
-                tangle._tips[tx.id] = None
         problems = tangle.verify()
         if problems:
             raise IntegrityError("; ".join(problems))
@@ -528,8 +530,7 @@ def _decode_envelope(payload: bytes, address: bytes, base_address: bytes,
                           body, aad=address)
 
 
-@dataclass(frozen=True)
-class ChannelMessage:
+class ChannelMessage(NamedTuple):
     index: int
     tx_id: bytes
     body: bytes

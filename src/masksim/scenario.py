@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 
 from .controller import ControllerParams, make_link
 from .epidemic import WorldConfig
-from .escrow import PenaltyPolicy
+from .escrow import MICRO_PER_TOKEN, PenaltyPolicy
+from .records import MAX_AMOUNT
 from .sensing import CombineRule, DetectorConfig
 
 SCHEMA_VERSION = 1
@@ -62,6 +63,10 @@ class EscrowConfig:
             raise ValueError("rho must lie in [0, 1]")
         if self.initial_balance < 0:
             raise ValueError("initial_balance must be >= 0")
+        # no transfer exceeds an opening balance; each must fit its record
+        if self.initial_balance > MAX_AMOUNT // MICRO_PER_TOKEN:
+            raise ValueError(f"initial_balance must be at most "
+                             f"{MAX_AMOUNT // MICRO_PER_TOKEN} tokens")
 
 
 @dataclass

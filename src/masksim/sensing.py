@@ -15,7 +15,6 @@ bus, from where the gateway bridges it to the agent's ledger channel.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import deque
@@ -25,6 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .bus import Gateway, MessageBus
+# re-exported: callers import the status record's codec from here
+from .records import decode_status, encode_status
 
 log = logging.getLogger(__name__)
 
@@ -130,32 +131,8 @@ def synth_stream(schedule: list[tuple[int, bool]],
 # Status publishing (detector -> bus -> gateway -> ledger)
 # =============================================================================
 
-STATUS_VERSION = 1
-
-
 def status_topic(agent_id: str) -> str:
     return f"mask/{agent_id}/status"
-
-
-def encode_status(agent_id: str, step: int, m: int,
-                  position: tuple[float, float] | None) -> bytes:
-    return json.dumps({
-        "v": STATUS_VERSION,
-        "agent": agent_id,
-        "step": step,
-        "M": int(m),
-        "pos": list(position) if position is not None else None,
-    }, separators=(",", ":"), sort_keys=True).encode("utf-8")
-
-
-def decode_status(payload: bytes) -> dict | None:
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("v") != STATUS_VERSION:
-        return None
-    return doc
 
 
 def publish_status(bus: MessageBus, gateway: Gateway, agent_id: str, step: int,

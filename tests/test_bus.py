@@ -176,6 +176,14 @@ def test_gateway_dead_letters_oversize_message():
     assert gw.counters()["dead_letters"] == 1
 
 
+def test_gateway_dead_letters_message_the_bridge_record_cannot_hold():
+    tangle, bus, channel, gw = _setup("t/x")
+    bus.publish("t/x", b"late", "pub", sequence=2**64)   # beyond 64 bits
+    appended = gw.pump()
+    assert appended == [] and gw.counters()["dead_letters"] == 1
+    assert gw.dead_letters[0].sequence == 2**64
+
+
 def test_gateway_counters_account_exactly():
     tangle, bus, channel, gw = _setup("t/x")
     for i in range(7):

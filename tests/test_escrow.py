@@ -1,6 +1,7 @@
 """Bond state machine, the four penalty policies, exact token conservation."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -315,9 +316,11 @@ def test_v2_bundle_round_trip_through_replay():
     b.commit()                               # nothing pending: no bundle
     payloads = fetch()
     assert len(payloads) == 4
-    assert json.loads(payloads[1]) == {
-        "v": 2, "transfers": [[1, "a", "deposit", 4_000_000],
-                              [1, "b", "deposit", 2_000_000]]}
+    # kind 4, version 1, two transfers of (step, kind 1 = deposit, micro,
+    # agent id length) followed by the agent id
+    assert payloads[1] == (struct.pack(">BBI", 4, 1, 2)
+                           + struct.pack(">IBQH", 1, 1, 4_000_000, 1) + b"a"
+                           + struct.pack(">IBQH", 1, 1, 2_000_000, 1) + b"b")
     assert decode_records(payloads) == [
         Transfer(0, "a", "init", 10_000_000),
         Transfer(0, "b", "init", 5_000_000)] + b.transfers
@@ -341,9 +344,9 @@ def test_step_larger_than_one_payload_splits_into_bundles():
     assert all(len(p) <= limit < MAX_PAYLOAD for p in inits + bundles)
     # packed greedily: each bundle but the last is too full for the next item
     for p, nxt in zip(bundles, bundles[1:]):
-        first = json.dumps(json.loads(nxt)["transfers"][0],
-                           separators=(",", ":"))
-        assert len(p) + 1 + len(first) > limit
+        first = decode_records([nxt])[0]
+        item = struct.calcsize(">IBQH") + len(first.agent_id.encode())
+        assert len(p) + item > limit
     assert decode_records(bundles) == b.transfers
     assert replay_records(inits + bundles).total() == b.initial_total_micro
 
@@ -353,8 +356,12 @@ def test_v1_record_is_rejected():
                      "amount": 5}, separators=(",", ":"), sort_keys=True)
     with pytest.raises(ValueError, match="version"):
         replay_records([v1.encode()])
+    with pytest.raises(ValueError, match="version"):
+        replay_records([b'{"v":2,"transfers":[[1,"a","init",5]]}'])
+    # a binary bundle announcing two transfers but carrying one
+    one = struct.pack(">IBQH", 1, 0, 5, 1) + b"a"
     with pytest.raises(ValueError, match="malformed"):
-        replay_records([b'{"v":2,"transfers":[[1,"a","init"]]}'])
+        replay_records([struct.pack(">BBI", 4, 1, 2) + one])
 
 
 def test_transfer_csv_schema(tmp_path):

@@ -1,10 +1,14 @@
 """Tangle structure, tip selection, channel codec and snapshot round trips."""
 
+import base64
+import hashlib
+import json
 import random
 import threading
 
 import pytest
 
+from masksim import crypto
 from masksim.ledger import (ChannelKeyError, ChannelMode, ChannelReader,
                             IntegrityError, MamChannel, PayloadTooLarge,
                             Tangle, channel_address, mam_fetch,
@@ -267,6 +271,8 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.verify() == []
     assert loaded.transactions.keys() == t.transactions.keys()
     assert loaded.tips == t.tips
+    # in the same order, so seeded tip selection continues identically
+    assert list(loaded._tips) == list(t._tips)
     assert mam_fetch(loaded, ch.base_address, ChannelMode.PUBLIC) == \
         [f"r{i}".encode() for i in range(30)]
 
@@ -335,6 +341,84 @@ def test_snapshot_of_fresh_tangle_is_valid(tmp_path):
     loaded = Tangle.load(path)
     assert len(loaded) == 1
     assert loaded.verify() == []
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        target = doc
+        for k in keys:
+            target = target[k]
+        target[last] = value(doc) if callable(value) else value
+    return edit
+
+
+def _swap_times(doc):
+    txs = doc["transactions"]
+    txs[1]["logical_time"], txs[2]["logical_time"] = 2, 1
+
+
+def _id(i):
+    return lambda doc: doc["transactions"][i]["id"]
+
+
+# transactions: genesis, a (genesis, genesis), b (a, a), c (b, a)
+@pytest.mark.parametrize("edit,faults", [
+    (_set(("transactions", 2, "payload"), "Qg=="), ["content hash mismatch"]),
+    (_set(("transactions", 3, "payload"),
+          base64.b64encode(bytes(4097)).decode()), ["oversize payload"]),
+    (_set(("transactions", 3, "parents", 1), "ab" * 32),
+     ["unresolvable parent", "cannot reach genesis"]),
+    (_set(("transactions", 3, "parents", 1), _id(3)),
+     ["references itself", "cannot reach genesis"]),
+    (_swap_times, ["does not postdate parent"]),
+    (_set(("transactions", 3, "logical_time"), 2),
+     ["logical-time order", "does not postdate parent"]),
+    (lambda doc: doc["transactions"].insert(2, doc["transactions"].pop(3)),
+     ["logical-time order", "cannot reach genesis"]),
+    (_set(("transactions", 0, "parents", 0), _id(1)),
+     ["genesis does not reference itself twice"]),
+    (_set(("genesis",), "cd" * 32), ["missing from store"]),
+    (lambda doc: doc["transactions"].append(dict(doc["transactions"][3])),
+     ["duplicate transaction id"]),
+], ids=["payload", "oversize", "unknown-parent", "self-reference",
+        "parent-not-earlier", "duplicate-time", "reordered",
+        "genesis-parents", "genesis-missing", "duplicate-id"])
+def test_load_reports_each_fault(tmp_path, edit, faults):
+    t = Tangle()
+    a = t.append(b"a")
+    b = t.append(b"b", parents=(a, a))
+    t.append(b"c", parents=(b, a))
+    path = tmp_path / "ledger.json"
+    t.save(path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IntegrityError) as info:
+        Tangle.load(path)
+    for fault in faults:
+        assert fault in str(info.value)
+
+
+def test_verify_reports_in_memory_faults():
+    t = Tangle()
+    a = t.append(b"a")
+    b = t.append(b"b", parents=(a, a))
+    t._tips.pop(b)
+    assert t.verify() == ["tip set inconsistent: tracked 0, actual 1"]
+    t._tips[b] = None
+    t.transactions[b] = t.transactions[b]._replace(parents=(a, a, a))
+    assert t.verify() == [f"{b.hex()[:16]} does not have 2 parents"]
+
+
+@pytest.mark.parametrize("parts", [
+    (), (b"",), (b"abc",), (b"masksim-tx-v1", bytes(32), bytes(range(32)),
+                           b"\x01", b"\xff" * 32, b"payload" * 500)])
+def test_digest_equals_incremental_sha256(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    assert crypto.digest(*parts) == h.digest()
 
 
 def test_genesis_hash_uses_zero_parent_slots():

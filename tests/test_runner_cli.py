@@ -132,8 +132,8 @@ README_SCENARIO = {
     "hil": {"agent_index": 0, "ranging_jitter": 2.5e-10},
 }
 
-# The CSV digests predate escrow bundling, which left them unchanged; the
-# ledger digest is that of escrow record version 2 (one bundle per step).
+# The CSV digests predate escrow bundling and the binary record codec, which
+# left them unchanged; the ledger digest is that of the binary records.
 README_DIGESTS = {
     "epidemic.csv":
         "9688f5cc8f8c7ca371c6daf80f31315bed02f612e2bf5fc3afd751ed8a6b447f",
@@ -142,7 +142,7 @@ README_DIGESTS = {
     "transfers.csv":
         "9d4e8ff80b7bc4b6ceaeb2f99160b2f60666a5e60c82a09bf86d1ab7b6f4d4a1",
     "ledger.json":
-        "ffa8a8c3762348892b149d15959aeb516b9cec336eccfef646d3287416a5909c",
+        "0701f08f2d0e4ccecf185a806d72313f339b2a118f58c4f7245a215ba700393f",
 }
 
 
@@ -152,7 +152,7 @@ def test_readme_scenario_outputs_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in README_DIGESTS}
     assert digests == README_DIGESTS
-    assert res.summary.ledger["transactions"] == 9962
+    assert res.summary.ledger["transactions"] == 9864
 
 
 def test_compliance_records_travel_via_ledger():
@@ -379,6 +379,8 @@ WORLD = {"n_agents": 8, "mask_mode": "controller"}
                  "outputs.agent_trace", id="bool-field-string"),
     pytest.param({"steps": True}, [], "steps", id="steps-bool"),
     pytest.param({"steps": 2.7}, [], "steps", id="steps-fraction"),
+    pytest.param({"escrow": {"initial_balance": 1e14}}, [],
+                 "escrow", id="balance-beyond-escrow-record"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, over, args,
                                                 field):
