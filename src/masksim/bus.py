@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -162,14 +161,10 @@ class Gateway:
     """
 
     def __init__(self, bus: MessageBus, tangle: Tangle,
-                 routes: dict[str, MamChannel], buffer: int = DEFAULT_BUFFER,
-                 max_retries: int = 3, backoff_s: float = 0.0):
+                 routes: dict[str, MamChannel]):
         self._tangle = tangle
         self._routes = dict(routes)
-        self._max_retries = max_retries
-        self._backoff_s = backoff_s
-        self._subs = {topic: bus.subscribe(topic, maxlen=buffer)
-                      for topic in self._routes}
+        self._subs = {topic: bus.subscribe(topic) for topic in self._routes}
         self._seen: dict[tuple[str, str, int], bytes] = {}
         self.bridged = 0
         self.duplicates = 0
@@ -211,7 +206,7 @@ class Gateway:
                 if key in self._seen:
                     self.duplicates += 1
                     continue
-                tx_id = self._append_with_retry(channel, message)
+                tx_id = self._append(channel, message)
                 if tx_id is None:
                     self.dead_letters.append(message)
                 else:
@@ -222,26 +217,17 @@ class Gateway:
                 break
         return appended
 
-    def _append_with_retry(self, channel: MamChannel,
-                           message: BusMessage) -> bytes | None:
+    def _append(self, channel: MamChannel, message: BusMessage) -> bytes | None:
+        """Append one message's bridge record; ``None`` if it cannot go on
+        the ledger.  Every such failure is deterministic (a field the
+        record cannot hold, a record over the transaction limit), so the
+        message is dead-lettered at once instead of retried."""
         try:
-            record = encode_bridge_record(message)
-        except ValueError as exc:       # a field the record cannot hold
+            return channel.publish(self._tangle, encode_bridge_record(message))
+        except (ValueError, LedgerError) as exc:
             log.error("dead-lettering %s/%s seq %d: %s", message.publisher_id,
                       message.topic, message.sequence, exc)
             return None
-        delay = self._backoff_s
-        for attempt in range(self._max_retries):
-            try:
-                return channel.publish(self._tangle, record)
-            except LedgerError as exc:
-                log.warning("ledger append failed (attempt %d): %s", attempt + 1, exc)
-                if delay:
-                    time.sleep(delay)
-                    delay *= 2
-        log.error("dead-lettering %s/%s seq %d", message.publisher_id,
-                  message.topic, message.sequence)
-        return None
 
     def counters(self) -> dict:
         return {

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -132,8 +133,10 @@ def cmd_ledger_inspect(args) -> int:
 def _parse_anchor_arg(text: str) -> list[tuple[float, float]]:
     anchors = []
     for part in text.split(";"):
-        x, y = part.split(",")
-        anchors.append((float(x), float(y)))
+        x, y = map(float, part.split(","))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("non-finite anchor coordinate")
+        anchors.append((x, y))
     return anchors
 
 
@@ -147,7 +150,8 @@ def cmd_position(args) -> int:
         anchors = (_parse_anchor_arg(args.anchors) if args.anchors
                    else list(DEFAULT_ANCHORS))
     except ValueError:
-        print("error: --anchors expects 'x1,y1;x2,y2;...'", file=sys.stderr)
+        print("error: --anchors expects finite 'x1,y1;x2,y2;...'",
+              file=sys.stderr)
         return EXIT_CONFIG
     try:
         with open(args.file, "r", encoding="utf-8", newline="") as fh:
@@ -180,8 +184,8 @@ def cmd_position(args) -> int:
                 d = distance(time_of_flight(ts))
             else:
                 d = float(row[2])
-                if d < 0:
-                    raise ValueError("negative distance")
+            if not 0 <= d < math.inf:
+                raise ValueError(f"distance {d} is negative or not finite")
             if not 0 <= anchor_id < len(anchors):
                 raise ValueError(f"anchor_id {anchor_id} out of range")
         except (ValueError, IndexError) as exc:

@@ -26,6 +26,10 @@ Policies:
 A deposit the wallet cannot cover is never an error: it is recorded as an
 exclusion event (the agent is barred for the step) and state is unchanged.
 
+A run drives the bank with three calls that name no policy: ``enter``
+before a step's mask bits are drawn, ``settle`` after the controller step
+and ``close`` at exit.  Which per-agent rule applies is decided here alone.
+
 When a ledger channel is attached, every executed transfer is mirrored to
 it, so replaying the channel reconstructs all balances.  Transfers are
 buffered and published as bundles (in the spirit of IOTA bundles): each
@@ -95,7 +99,6 @@ class Wallet:
 class Bond:
     """One agent's escrow slot; re-deposits reactivate the same slot."""
     agent_id: str
-    policy: PenaltyPolicy
     amount_micro: int = 0
     state: BondState = BondState.REFUNDED
     forfeited_micro: int = 0   # cumulative, drawn down by partial returns
@@ -135,7 +138,7 @@ class EscrowBank:
         self.rho = rho
         self.wallets = {a: Wallet(a, to_micro(b))
                         for a, b in initial_balances.items()}
-        self.bonds = {a: Bond(a, policy) for a in self.wallets}
+        self.bonds = {a: Bond(a) for a in self.wallets}
         self.forfeited_pool_micro = 0
         self.transfers: list[Transfer] = []
         self.exclusions: list[ExclusionEvent] = []
@@ -144,6 +147,7 @@ class EscrowBank:
         self._tangle = tangle
         self._channel = channel
         self._pending: list[tuple] = []     # records not yet on the ledger
+        self._violators: set[str] = set()   # fixed penalty: not refunded at exit
         for agent, wallet in self.wallets.items():
             self._buffer(0, agent, "init", wallet.balance_micro)
         self.commit()
@@ -160,8 +164,8 @@ class EscrowBank:
 
     def commit(self) -> None:
         """Publish the buffered records, in order, packed greedily into as
-        few bundles as fit one ledger transaction.  The runner commits once
-        per step; without a channel this is a no-op."""
+        few bundles as fit one ledger transaction.  ``settle`` and
+        ``close`` commit; without a channel this is a no-op."""
         if not self._pending:
             return
         bundles = encode_bundles(self._pending, self._channel.message_limit)
@@ -169,7 +173,46 @@ class EscrowBank:
         for payload in bundles:
             self._channel.publish(self._tangle, payload)
 
-    # -- operations ---------------------------------------------------------
+    # -- the policy, one step at a time ------------------------------------
+
+    def enter(self, stakes: dict[str, float], step: int) -> None:
+        """Stake a bond at the controller's price for every agent without an
+        active one, before the step's mask bits are drawn.  A fixed-penalty
+        stay has one bond, staked at step 1: there is no re-entry mid-run."""
+        if self.policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
+            return
+        for agent, bond in self.bonds.items():
+            if bond.state is not BondState.ACTIVE:
+                self.deposit(agent, stakes[agent], step)
+
+    def settle(self, bits, next_stakes: dict[str, float], step: int) -> None:
+        """Settle every active bond against its owner's mask bit (``bits``
+        in bank order), re-staking at ``next_stakes`` where the policy says
+        so, then commit the step's transfers.  A fixed-penalty bond is held
+        until :meth:`close`; a violation is only noted."""
+        if self.policy is PenaltyPolicy.FIXED_PENALTY:
+            self._violators.update(a for a, m in zip(self.bonds, bits) if not m)
+        else:
+            settle_one = (self.settle_event
+                          if self.policy is PenaltyPolicy.EVENT_DRIVEN
+                          else self.settle_step)
+            for (agent, bond), m in zip(self.bonds.items(), bits):
+                if bond.state is BondState.ACTIVE:
+                    settle_one(agent, m, next_stakes[agent], step)
+        self.commit()
+
+    def close(self, step: int) -> None:
+        """The fixed-penalty exit: every active bond is refunded if its owner
+        never violated, else forfeited; then commit.  Under the other
+        policies bonds settle every step and there is nothing to close."""
+        if self.policy is not PenaltyPolicy.FIXED_PENALTY:
+            return
+        for agent, bond in self.bonds.items():
+            if bond.state is BondState.ACTIVE:
+                self.settle_exit(agent, agent not in self._violators, step)
+        self.commit()
+
+    # -- per-agent operations -----------------------------------------------
 
     def deposit(self, agent_id: str, amount_tokens: float, step: int) -> bool:
         """Stake a bond; returns False (and logs an exclusion) if the wallet
@@ -260,14 +303,29 @@ class EscrowBank:
 
     # -- invariants and reporting ------------------------------------------
 
+    def balances(self) -> ReplayedState:
+        """The bank's balances in the form a ledger replay gives them."""
+        return ReplayedState(
+            {a: w.balance_micro for a, w in self.wallets.items()},
+            {a: b.amount_micro for a, b in self.bonds.items()
+             if b.state is BondState.ACTIVE},
+            self.forfeited_pool_micro)
+
     def total_micro(self) -> int:
-        active = sum(b.amount_micro for b in self.bonds.values()
-                     if b.state is BondState.ACTIVE)
-        wallets = sum(w.balance_micro for w in self.wallets.values())
-        return wallets + active + self.forfeited_pool_micro
+        return self.balances().total()
 
     def conservation_ok(self) -> bool:
         return self.total_micro() == self.initial_total_micro
+
+    def replay_mismatch(self, replayed: ReplayedState) -> str | None:
+        """What a replay of the escrow channel disagrees with the bank on:
+        ``"wallets"``, ``"active bonds"`` or ``"forfeited pool"``; ``None``
+        when they agree."""
+        mine = self.balances()
+        for what in ("wallets", "active_bonds", "forfeited_pool"):
+            if getattr(replayed, what) != getattr(mine, what):
+                return what.replace("_", " ")
+        return None
 
     def totals_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -37,7 +37,7 @@ import json
 import random
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -45,6 +45,7 @@ from . import crypto
 
 MAX_PAYLOAD = 4096          # bytes, per transaction
 ZERO32 = bytes(32)
+_GENESIS_PAYLOAD = b"genesis"
 
 _TX_DOMAIN = b"masksim-tx-v1"
 _CHAIN_DOMAIN = b"masksim-mam-next"
@@ -124,11 +125,11 @@ class Tangle:
     reproducible.
     """
 
-    def __init__(self, rng_seed: int = 0, genesis_payload: bytes = b"genesis"):
+    def __init__(self, rng_seed: int = 0):
         self._lock = threading.RLock()
         self._rng = random.Random(rng_seed)
-        gid = transaction_id((ZERO32, ZERO32), genesis_payload, None)
-        genesis = Transaction(gid, (gid, gid), genesis_payload, None, 0)
+        gid = transaction_id((ZERO32, ZERO32), _GENESIS_PAYLOAD, None)
+        genesis = Transaction(gid, (gid, gid), _GENESIS_PAYLOAD, None, 0)
         self.genesis = gid
         self.transactions: dict[bytes, Transaction] = {gid: genesis}
         # insertion-ordered so tip sampling never depends on bytes hashing
@@ -452,7 +453,7 @@ class MamChannel:
     mode: ChannelMode
     root: bytes
     side_key: bytes | None = None
-    next_index: int = 0
+    next_index: int = field(default=0, init=False)
 
     def __post_init__(self):
         # validates the mode/key combination as a side effect
@@ -460,8 +461,6 @@ class MamChannel:
         self._aead = (crypto.cipher(_message_key(self._base, self.side_key))
                       if self.mode is ChannelMode.RESTRICTED else None)
         self._cursor = self._base
-        for _ in range(self.next_index):
-            self._cursor = _next_address(self._cursor)
 
     @property
     def base_address(self) -> bytes:

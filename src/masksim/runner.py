@@ -1,17 +1,22 @@
 """Closed-loop scenario execution and ledger inspection.
 
-One run wires the whole architecture together, per step:
+One run is the paper's pipeline, one pass per step:
 
-    mask bits (sensing / controller probabilities)
-      -> bus publish per agent -> gateway -> per-agent ledger channel
-      -> controller reads the channels, updates costs, publishes the cost
-         vector on its own channel
-      -> escrow settles every bond against the observed bit and the next
-         stake, and commits the step's transfers to its channel as bundles
-      -> the epidemic advances one step
+    sense    the escrow bank stakes each bond at the controller's price,
+             then every agent's mask bit is drawn (one agent's may come
+             from a replayed sensor capture, with a UWB position fix)
+    publish  each mask publishes its status on the bus, and the gateway
+             bridges the bus onto the agent's ledger channel
+    read     the controller's view: the statuses read back from the ledger
+    control  the controller updates the costs and publishes the cost
+             vector on its own channel
+    settle   the bank settles every bond and commits the step's transfers
+             to its channel as bundles
+    advance  the epidemic moves one step
 
-When the loop ends the escrow channel is replayed from the ledger and must
-equal the bank, and the ledger must pass ``verify``.
+When the loop ends the bank closes the fixed-penalty bonds, a replay of
+the escrow channel from the ledger must equal the bank, and the ledger
+must pass ``verify``.
 
 Outputs are plot-ready CSV files plus one JSON summary; identical configs
 and seeds give byte-identical CSVs and ledger snapshots (the summary also
@@ -28,23 +33,21 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import crypto
-from .bus import Gateway, MessageBus
+from .bus import Gateway, MessageBus, decode_bridge_record
 from .controller import ComplianceController
-from .epidemic import World, advance, sample_mask_bits
-from .escrow import (BondState, EscrowBank, PenaltyPolicy, micro_to_str,
-                     replay_records)
+from .epidemic import EpidemicSeries, World, advance, sample_mask_bits
+from .escrow import EscrowBank, micro_to_str, replay_records
 from .ledger import ChannelMode, ChannelReader, MamChannel, Tangle, mam_fetch
 from .positioning import (distance, multilaterate, simulate_exchange,
                           time_of_flight)
 from .sensing import (DetectorConfig, GasSample, MaskDetector, decode_status,
                       encode_status, status_topic)
-from .bus import decode_bridge_record
 from .scenario import ScenarioConfig
 
 log = logging.getLogger(__name__)
@@ -122,7 +125,6 @@ class RunResult:
     controller: ComplianceController | None
     bank: EscrowBank | None
     out_dir: Path | None
-    costs: list = field(default_factory=list)
 
 
 # =============================================================================
@@ -162,11 +164,9 @@ class _Run:
                 {a: config.escrow.initial_balance for a in self.agents},
                 config.escrow.policy, rho=config.escrow.rho,
                 tangle=self.tangle, channel=escrow_channel(seed))
-        self.all_compliant = np.ones(len(self.agents), dtype=bool)
         self.epidemic_rows: list[tuple] = []
         self.cost_rows: list[tuple] = []
         self.trace_rows: list[tuple] = []
-        self.hil_positions: list[tuple[float, float] | None] = []
 
     # -- hardware-in-the-loop position fix --------------------------------
 
@@ -188,45 +188,31 @@ class _Run:
             return None
         return fix.position
 
-    # -- per-step pipeline --------------------------------------------------
+    # -- per-step phases ----------------------------------------------------
 
-    def _deposits_for_entry(self, step: int, stakes: dict[str, float]) -> None:
-        bank = self.bank
-        policy = self.config.escrow.policy
-        for a in self.agents:
-            if bank.bonds[a].state is not BondState.ACTIVE:
-                if policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
-                    continue    # one bond per stay; no re-entry mid-run
-                bank.deposit(a, stakes[a], step)
+    def _sense(self, step: int) -> tuple[np.ndarray, list]:
+        """Every mask's bit, drawn after the bank has staked the controller's
+        price, and its reported position; the replayed agent reports its
+        captured bit and a UWB fix (``None`` when none converges)."""
+        world = self.world
+        if self.controlled:
+            probs = self.controller.probabilities(world.q)
+            self.bank.enter(self.controller.stakes(), step)
+            bits = sample_mask_bits(world, step, probs)
+        else:
+            bits = sample_mask_bits(world, step)
+        positions = world.positions.tolist()
+        if self.hil_bits is not None:
+            idx = self.config.hil.agent_index
+            bits[idx] = world.mask_bits[idx] = self.hil_bits[step - 1]
+            positions[idx] = self._hil_fix(step)
+        return bits, positions
 
-    def _settlements(self, step: int, bits: np.ndarray,
-                     next_stakes: dict[str, float]) -> None:
-        bank = self.bank
-        policy = self.config.escrow.policy
-        for i, a in enumerate(self.agents):
-            if bank.bonds[a].state is not BondState.ACTIVE:
-                continue
-            m = int(bits[i])
-            if policy in (PenaltyPolicy.ADAPTIVE,
-                          PenaltyPolicy.ADAPTIVE_WITH_RETURN):
-                bank.settle_step(a, m, next_stakes[a], step)
-            elif policy is PenaltyPolicy.EVENT_DRIVEN:
-                bank.settle_event(a, m, next_stakes[a], step)
-        bank.commit()
-        if not bank.conservation_ok():
-            raise InvariantBreach(
-                f"escrow: token conservation violated at step {step}")
-
-    def _publish_statuses(self, step: int, bits: np.ndarray) -> None:
-        hil_idx = self.config.hil.agent_index if self.hil_bits else -1
-        for i, a in enumerate(self.agents):
-            if i == hil_idx:
-                pos = self.hil_positions[-1]
-            else:
-                p = self.world.positions[i]
-                pos = (float(p[0]), float(p[1]))
-            self.bus.publish(status_topic(a),
-                             encode_status(a, step, int(bits[i]), pos),
+    def _publish_statuses(self, step: int, bits: np.ndarray,
+                          positions: list) -> None:
+        """Every agent's status onto the bus, then the bus onto the ledger."""
+        for a, m, pos in zip(self.agents, bits.tolist(), positions):
+            self.bus.publish(status_topic(a), encode_status(a, step, m, pos),
                              publisher_id=a)
         self.gateway.pump()
 
@@ -240,12 +226,25 @@ class _Run:
                 doc = decode_status(rec["payload"])
                 if doc is not None and doc["step"] == step:
                     records[a] = doc["M"]
+        if len(records) != len(self.agents):
+            log.warning("step %d: %d/%d compliance records on ledger",
+                        step, len(records), len(self.agents))
         return records
 
-    def _audit_escrow(self) -> None:
-        """Replaying the escrow channel from the ledger gives the bank's
-        wallets, active bonds and forfeited pool."""
+    def _control(self, step: int, records: dict[str, int]) -> dict[str, float]:
+        """One controller step; returns the stakes for the next step."""
+        res = self.controller.step(step, records)
+        self.cost_rows.append((step, res.global_cost,
+                               res.mean_individual_cost, res.mean_compliance))
+        return res.stakes
+
+    def _close_escrow(self, steps: int) -> None:
+        """Close the fixed-penalty bonds; then replaying the escrow channel
+        from the ledger must give the bank's wallets, bonds and pool."""
         bank = self.bank
+        bank.close(steps)
+        if not bank.conservation_ok():
+            raise InvariantBreach("escrow: conservation violated at exit")
         channel = escrow_channel(self.config.seed)
         try:
             replayed = replay_records(
@@ -253,98 +252,63 @@ class _Run:
         except ValueError as exc:
             raise InvariantBreach(f"escrow: channel does not replay: {exc}") \
                 from exc
-        active = {a: b.amount_micro for a, b in bank.bonds.items()
-                  if b.state is BondState.ACTIVE}
-        wallets = {a: w.balance_micro for a, w in bank.wallets.items()}
-        for what, on_ledger, in_bank in (
-                ("wallets", replayed.wallets, wallets),
-                ("active bonds", replayed.active_bonds, active),
-                ("forfeited pool", replayed.forfeited_pool,
-                 bank.forfeited_pool_micro)):
-            if on_ledger != in_bank:
-                raise InvariantBreach(
-                    f"escrow: ledger replay differs from the bank in {what}")
+        what = bank.replay_mismatch(replayed)
+        if what is not None:
+            raise InvariantBreach(
+                f"escrow: ledger replay differs from the bank in {what}")
 
     def execute(self, steps: int) -> RunResult:
         t0 = time.perf_counter()
         world = self.world
-        cfg = self.config
-        counts = world.counts()
-        self.epidemic_rows.append((0, *counts, 0.0, 0.0, 0.0))
+        self.epidemic_rows.append((0, *world.counts(), 0.0))
 
         for step in range(1, steps + 1):
-            if self.controlled:
-                probs = self.controller.probabilities(world.q)
-                self._deposits_for_entry(step, self.controller.stakes())
-                bits = sample_mask_bits(world, step, probs)
-            else:
-                bits = sample_mask_bits(world, step)
-
-            if self.hil_bits is not None:
-                idx = cfg.hil.agent_index
-                bits[idx] = self.hil_bits[step - 1]
-                world.mask_bits[idx] = bits[idx]
-                self.hil_positions.append(self._hil_fix(step))
-            self.all_compliant &= bits != 0
-
-            self._publish_statuses(step, bits)
+            bits, positions = self._sense(step)
+            self._publish_statuses(step, bits, positions)   # publish, bridge
             records = self._read_records(step)
-            if len(records) != len(self.agents):
-                log.warning("step %d: %d/%d compliance records on ledger",
-                            step, len(records), len(self.agents))
-
-            mean_c = 0.0
-            global_c = 0.0
             if self.controlled:
-                res = self.controller.step(step, records)
-                global_c, mean_c = res.global_cost, res.mean_individual_cost
-                self.cost_rows.append((step, res.global_cost,
-                                       res.mean_individual_cost,
-                                       res.mean_compliance))
-                self._settlements(step, bits, res.stakes)
-
-            if cfg.outputs.agent_trace:
-                for i, a in enumerate(self.agents):
-                    p = world.positions[i]
-                    self.trace_rows.append(
-                        (step, a, float(p[0]), float(p[1]), int(bits[i]),
-                         int(world.health[i])))
-
+                stakes = self._control(step, records)
+                self.bank.settle(bits, stakes, step)
+                if not self.bank.conservation_ok():
+                    raise InvariantBreach(
+                        f"escrow: token conservation violated at step {step}")
+            if self.config.outputs.agent_trace:
+                self.trace_rows += [
+                    (step, a, x, y, m, h) for a, (x, y), m, h in zip(
+                        self.agents, world.positions.tolist(), bits.tolist(),
+                        world.health.tolist())]
             advance(world, step)
-            counts = world.counts()
             self.epidemic_rows.append(
-                (step, *counts, float(bits.mean()), global_c, mean_c))
+                (step, *world.counts(), float(bits.mean())))
 
-        if (self.controlled
-                and cfg.escrow.policy is PenaltyPolicy.FIXED_PENALTY):
-            for a, compliant in zip(self.agents, self.all_compliant.tolist()):
-                if self.bank.bonds[a].state is BondState.ACTIVE:
-                    self.bank.settle_exit(a, compliant, steps)
-            self.bank.commit()
-            if not self.bank.conservation_ok():
-                raise InvariantBreach("escrow: conservation violated at exit")
         if self.controlled:
-            self._audit_escrow()
-
+            self._close_escrow(steps)
         problems = self.tangle.verify()
         if problems:
             raise InvariantBreach(f"ledger: {problems[0]}")
 
-        duration = time.perf_counter() - t0
-        summary = self._summarize(steps, duration)
-        result = RunResult(summary, self.tangle, world, self.controller,
-                           self.bank, self.out_dir, self.cost_rows)
+        series = self._series()
+        summary = self._summarize(series, steps, time.perf_counter() - t0)
         if self.out_dir is not None:
-            self._write_outputs(summary)
-        return result
+            self._write_outputs(series, summary)
+        return RunResult(summary, self.tangle, world, self.controller,
+                         self.bank, self.out_dir)
 
     # -- outputs ------------------------------------------------------------
 
-    def _summarize(self, steps: int, duration: float) -> RunSummary:
+    def _series(self) -> EpidemicSeries:
+        """The epidemic rows, with the controller's costs where it ran."""
+        cols = [np.array(c) for c in zip(*self.epidemic_rows)]
+        if self.controlled:
+            cols += [np.array([0.0] + [row[k] for row in self.cost_rows])
+                     for k in (1, 2)]
+        return EpidemicSeries(*cols)
+
+    def _summarize(self, series: EpidemicSeries, steps: int,
+                   duration: float) -> RunSummary:
         final = self.epidemic_rows[-1]
         kinds = self.bank.totals_by_kind() if self.bank else {}
         returned = kinds.get("refund", 0) + kinds.get("partial_return", 0)
-        mean_m = [row[5] for row in self.epidemic_rows[1:]]
         return RunSummary(
             mode=("hil" if self.hil_bits is not None
                   else self.config.world.mask_mode),
@@ -352,7 +316,8 @@ class _Run:
             n_agents=self.config.world.n_agents,
             final_counts={"S": final[1], "I": final[2],
                           "R_slight": final[3], "R_serious": final[4]},
-            time_avg_compliance=(float(np.mean(mean_m)) if mean_m else 0.0),
+            time_avg_compliance=(float(np.mean(series.mean_mask[1:]))
+                                 if steps else 0.0),
             tokens_forfeited=micro_to_str(kinds.get("forfeit", 0)),
             tokens_returned=micro_to_str(returned),
             exclusions=len(self.bank.exclusions) if self.bank else 0,
@@ -361,14 +326,11 @@ class _Run:
             duration_s=round(duration, 3),
         )
 
-    def _write_outputs(self, summary: RunSummary) -> None:
+    def _write_outputs(self, series: EpidemicSeries,
+                       summary: RunSummary) -> None:
         out = self.out_dir
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "epidemic.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("step,S,I,R_slight,R_serious,mean_M,C,mean_c\n")
-            for row in self.epidemic_rows:
-                fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]},"
-                         f"{row[5]!r},{row[6]!r},{row[7]!r}\n")
+        series.to_csv(out / "epidemic.csv")
         if self.controlled:
             with open(out / "costs.csv", "w", encoding="utf-8", newline="") as fh:
                 fh.write("step,C,mean_c,mean_compliance\n")

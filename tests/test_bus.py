@@ -1,5 +1,6 @@
 """Bus semantics (FIFO, fan-out, overflow) and the bus-to-ledger gateway."""
 
+import logging
 import threading
 
 import pytest
@@ -173,6 +174,26 @@ def test_gateway_dead_letters_oversize_message():
     appended = gw.pump()
     assert len(appended) == 1
     assert len(gw.dead_letters) == 1
+    assert gw.counters()["dead_letters"] == 1
+
+
+def test_gateway_dead_letters_on_first_failure_without_retry(caplog,
+                                                             monkeypatch):
+    tangle, bus, channel, gw = _setup("t/x")
+    attempts = []
+    real_publish = MamChannel.publish
+
+    def counting_publish(self, tangle, message):
+        attempts.append(len(message))
+        return real_publish(self, tangle, message)
+
+    monkeypatch.setattr(MamChannel, "publish", counting_publish)
+    bus.publish("t/x", b"x" * 8192, "pub")   # over the 4 KiB ledger limit
+    with caplog.at_level(logging.DEBUG, logger="masksim.bus"):
+        assert gw.pump() == []
+    assert len(attempts) == 1
+    assert [(r.levelno, r.getMessage().split(":")[0]) for r in caplog.records] \
+        == [(logging.ERROR, "dead-lettering pub/t/x seq 1")]
     assert gw.counters()["dead_letters"] == 1
 
 

@@ -374,3 +374,112 @@ def test_transfer_csv_schema(tmp_path):
     assert lines[0] == "step,agent,kind,amount"
     assert lines[1] == "1,a,deposit,2.500000"
     assert lines[2] == "2,a,forfeit,2.500000"
+
+
+# =============================================================================
+# enter / settle / close against the per-agent dispatch they replace
+# =============================================================================
+
+def dispatch_oracle(b, agents, schedule):
+    """The per-agent policy dispatch a closed-loop run once did itself,
+    kept as the oracle: which rule applies to which bond under which policy,
+    with the fixed-penalty compliance history kept outside the bank."""
+    policy = b.policy
+    all_compliant = np.ones(len(agents), dtype=bool)
+    for step, (stakes, bits, next_stakes) in enumerate(schedule, start=1):
+        for a in agents:
+            if b.bonds[a].state is not BondState.ACTIVE:
+                if policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
+                    continue
+                b.deposit(a, stakes[a], step)
+        all_compliant &= bits != 0
+        for i, a in enumerate(agents):
+            if b.bonds[a].state is not BondState.ACTIVE:
+                continue
+            m = int(bits[i])
+            if policy in (PenaltyPolicy.ADAPTIVE,
+                          PenaltyPolicy.ADAPTIVE_WITH_RETURN):
+                b.settle_step(a, m, next_stakes[a], step)
+            elif policy is PenaltyPolicy.EVENT_DRIVEN:
+                b.settle_event(a, m, next_stakes[a], step)
+        b.commit()
+    if policy is PenaltyPolicy.FIXED_PENALTY:
+        for a, compliant in zip(agents, all_compliant.tolist()):
+            if b.bonds[a].state is BondState.ACTIVE:
+                b.settle_exit(a, compliant, len(schedule))
+        b.commit()
+
+
+def step_calls(b, schedule):
+    for step, (stakes, bits, next_stakes) in enumerate(schedule, start=1):
+        b.enter(stakes, step)
+        b.settle(bits, next_stakes, step)
+    b.close(len(schedule))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_step_calls_equal_per_agent_dispatch(policy, seed):
+    rng = np.random.default_rng([seed, POLICIES.index(policy)])
+    agents = [f"a{i}" for i in range(12)]
+    # low balances against stakes of up to 4 tokens: exclusions, and
+    # re-entry after them, happen under every policy but fixed penalty
+    balances = {a: float(rng.integers(0, 9)) for a in agents}
+
+    def price():
+        return {a: float(np.round(rng.uniform(0, 4), 4)) for a in agents}
+
+    # every third agent always wears a mask, so some fixed-penalty bonds
+    # come back at exit
+    compliance = np.where(np.arange(len(agents)) % 3 == 0, 1.0, 0.7)
+    schedule = [(price(), (rng.random(len(agents)) < compliance).astype(np.int8),
+                 price()) for _ in range(30)]
+    banks = []
+    for drive in (dispatch_oracle, None):
+        tangle = Tangle(rng_seed=seed)
+        channel = MamChannel(ChannelMode.PUBLIC, bytes(32))
+        b = EscrowBank(balances, policy, rho=0.5, tangle=tangle,
+                       channel=channel)
+        if drive is None:
+            step_calls(b, schedule)
+        else:
+            drive(b, agents, schedule)
+        banks.append((b, mam_fetch(tangle, channel.base_address,
+                                   ChannelMode.PUBLIC)))
+    (oracle, oracle_ledger), (b, ledger) = banks
+
+    assert b.transfers == oracle.transfers
+    assert b.exclusions == oracle.exclusions
+    assert {a: w.balance_micro for a, w in b.wallets.items()} == \
+        {a: w.balance_micro for a, w in oracle.wallets.items()}
+    assert b.bonds == oracle.bonds
+    assert b.forfeited_pool_micro == oracle.forfeited_pool_micro
+    assert ledger == oracle_ledger
+    assert b.replay_mismatch(replay_records(ledger)) is None
+    assert b.conservation_ok()
+
+    assert oracle.exclusions
+    if policy is PenaltyPolicy.FIXED_PENALTY:
+        kinds = {t.kind for t in b.transfers if t.step == len(schedule)}
+        assert kinds == {"refund", "forfeit"}
+    else:
+        excluded = {(e.agent_id, e.step) for e in oracle.exclusions}
+        assert any(t.kind == "deposit" and t.step > s
+                   for t in oracle.transfers for a, s in excluded
+                   if t.agent_id == a)
+
+
+def test_replay_mismatch_names_what_differs():
+    b, fetch = ledger_bank({"a": 10.0, "b": 5.0})
+    b.deposit("a", 4.0, step=1)
+    b.commit()
+    assert b.replay_mismatch(replay_records(fetch())) is None
+    b.deposit("b", 1.0, step=1)                  # not committed yet
+    assert b.replay_mismatch(replay_records(fetch())) == "wallets"
+    b.commit()
+    replayed = replay_records(fetch())
+    replayed.active_bonds["b"] += 1
+    assert b.replay_mismatch(replayed) == "active bonds"
+    replayed = replay_records(fetch())
+    replayed.forfeited_pool = 1
+    assert b.replay_mismatch(replayed) == "forfeited pool"

@@ -493,3 +493,40 @@ def test_cli_position_timestamp_format(tmp_path):
     row = out_path.read_text().strip().splitlines()[1].split(",")
     assert float(row[1]) == pytest.approx(point[0], abs=1e-6)
     assert float(row[2]) == pytest.approx(point[1], abs=1e-6)
+
+
+def _write_ranges(path, anchors, point, extra=()):
+    with open(path, "w", newline="") as fh:
+        fh.write("fix_id,anchor_id,distance_m\n")
+        for i, (ax, ay) in enumerate(anchors):
+            d = float(np.hypot(point[0] - ax, point[1] - ay))
+            fh.write(f"f1,{i},{d!r}\n")
+        for line in extra:
+            fh.write(line + "\n")
+
+
+@pytest.mark.parametrize("anchors", ["nan,0;20,0;0,10", "0,0;inf,0;0,10",
+                                     "0,0;20,0;0,-inf"])
+def test_cli_position_non_finite_anchor_exit_2(tmp_path, capsys, anchors):
+    path = tmp_path / "ranges.csv"
+    _write_ranges(path, [(0.0, 0.0), (20.0, 0.0), (0.0, 10.0)], (4.0, 3.0))
+    assert main(["position", str(path), "--anchors", anchors]) == 2
+    err = capsys.readouterr().err
+    assert "--anchors" in err and "Traceback" not in err
+
+
+def test_cli_position_skips_non_finite_distance(tmp_path, capsys, caplog):
+    anchors = [(0.0, 0.0), (20.0, 0.0), (0.0, 10.0), (20.0, 10.0)]
+    point = (4.5, 6.25)
+    path = tmp_path / "ranges.csv"
+    _write_ranges(path, anchors, point,
+                  extra=["f1,1,nan", "f1,2,inf", "f1,3,-inf"])
+    assert main(["position", str(path)]) == 0
+    skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert skipped == [
+        f"line {n} skipped: distance {d} is negative or not finite"
+        for n, d in ((6, "nan"), (7, "inf"), (8, "-inf"))]
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert row[-1] == "1"
+    assert float(row[1]) == pytest.approx(point[0], abs=1e-6)
+    assert float(row[2]) == pytest.approx(point[1], abs=1e-6)
