@@ -57,8 +57,8 @@ def _apply_overrides(config, args):
 def _load(args):
     try:
         return _apply_overrides(load_scenario(args.config), args)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
+    except OSError as exc:
+        print(f"i/o error: cannot read config: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -99,9 +99,6 @@ def cmd_hil_replay(args) -> int:
     def fn(out):
         try:
             return run_hil_replay(config, args.replay, out_dir=out)
-        except FileNotFoundError:
-            print(f"error: replay file not found: {args.replay}", file=sys.stderr)
-            raise SystemExit(EXIT_IO) from None
         except ValueError as exc:
             print(f"replay error: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_CONFIG) from None
@@ -112,8 +109,8 @@ def cmd_hil_replay(args) -> int:
 def cmd_ledger_inspect(args) -> int:
     try:
         stats, problems = inspect_snapshot(args.snapshot)
-    except FileNotFoundError:
-        print(f"error: snapshot not found: {args.snapshot}", file=sys.stderr)
+    except OSError as exc:
+        print(f"i/o error: cannot read snapshot: {exc}", file=sys.stderr)
         return EXIT_IO
     if stats:
         print(f"transactions:      {stats['transactions']}")
@@ -159,6 +156,9 @@ def cmd_position(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: ranging file is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if not rows:
         print("error: empty ranging file", file=sys.stderr)
         return EXIT_CONFIG
@@ -195,8 +195,12 @@ def cmd_position(args) -> int:
             order.append(fix_id)
         fixes.setdefault(fix_id, {})[anchor_id] = d
 
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out \
-        else sys.stdout
+    try:
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out \
+            else sys.stdout
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         out.write("fix_id,x,y,rms_residual_m,iterations,converged\n")
         for fix_id in order:

@@ -116,7 +116,7 @@ class ControllerParams:
 @dataclass
 class StepResult:
     step: int
-    stakes: dict[str, float]
+    stakes: np.ndarray
     global_cost: float
     mean_individual_cost: float
     mean_compliance: float
@@ -137,7 +137,6 @@ class ComplianceController:
         self.agents = list(agent_ids)
         if len(set(self.agents)) != len(self.agents):
             raise ValueError("duplicate agent ids")
-        self._index = {a: i for i, a in enumerate(self.agents)}
         n = len(self.agents)
         self.global_cost = params.initial_global_cost
         self.individual_costs = np.zeros(n)
@@ -151,20 +150,14 @@ class ComplianceController:
 
     # -- views ------------------------------------------------------------
 
-    def cost_of(self, agent_id: str) -> float:
-        return float(self.individual_costs[self._index[agent_id]])
-
-    def windowed_avg_of(self, agent_id: str) -> float:
-        return float(self.windowed_avgs[self._index[agent_id]])
-
-    def stakes(self) -> dict[str, float]:
-        """Tokens each agent must deposit: the cost sum clamped at zero.
+    def stakes(self) -> np.ndarray:
+        """Tokens each agent must deposit, in agent order: the cost sum
+        clamped at zero.
 
         Only the deposit clamps; the unclamped sum still feeds the compliance
         probability, so the control law is unaffected.
         """
-        stakes = np.maximum(0.0, self.global_cost + self.individual_costs)
-        return dict(zip(self.agents, stakes.tolist()))
+        return np.maximum(0.0, self.global_cost + self.individual_costs)
 
     def probabilities(self, q: np.ndarray) -> np.ndarray:
         """Compliance probabilities ``p(q_i + C + c_i)`` for proclivities
@@ -173,49 +166,30 @@ class ComplianceController:
 
     # -- stepping ---------------------------------------------------------
 
-    def _coerce_bits(self, records, step: int) -> tuple[np.ndarray, np.ndarray]:
-        """Normalize records to (bits, present-mask) over the agent order;
-        a bit other than 0 or 1 raises ``ValueError`` before any state
-        changes."""
+    def step(self, step: int, bits: np.ndarray,
+             present: np.ndarray) -> StepResult:
+        """Apply one control step with the compliance records of ``step``.
+
+        ``bits`` holds each agent's mask bit and ``present`` whether its
+        record was read, both in agent order; the bit of an absent agent is
+        ignored.  A wrong length, or a bit other than 0 or 1 on a present
+        agent, raises ``ValueError`` before any state changes.  Returns the
+        stakes every agent must deposit for the next step.
+        """
+        p = self.params
         n = len(self.agents)
-        bits = np.zeros(n)
-        present = np.zeros(n, dtype=bool)
-
-        def put(agent_id, m):
-            try:
-                i = self._index[agent_id]
-            except KeyError:
-                raise KeyError(f"agent {agent_id!r} is not registered") from None
-            bits[i] = float(m)
-            present[i] = True
-
-        if isinstance(records, np.ndarray):
-            if records.shape != (n,):
-                raise ValueError(f"expected {n} bits, got shape {records.shape}")
-            bits[:] = records
-            present[:] = True
-        else:
-            for agent_id, m in records.items():
-                put(agent_id, m)
-        bad = np.flatnonzero((bits != 0.0) & (bits != 1.0))
+        bits = np.asarray(bits, dtype=float)
+        present = np.asarray(present, dtype=bool)
+        if bits.shape != (n,) or present.shape != (n,):
+            raise ValueError(f"expected {n} bits and presence flags, got "
+                             f"shapes {bits.shape} and {present.shape}")
+        bad = np.flatnonzero(present & (bits != 0.0) & (bits != 1.0))
         if len(bad):
             i = bad[0]
             raise ValueError(f"step {step}: agent {self.agents[i]!r}: mask bit "
                              f"{float(bits[i])!r} outside {{0, 1}}")
-        for i, got in enumerate(present):
-            if not got:
-                self.gap_events.append((step, self.agents[i]))
-        return bits, present
-
-    def step(self, step: int, records) -> StepResult:
-        """Apply one control step with the compliance records of ``step``.
-
-        ``records`` may be a mapping ``agent_id -> bit`` or an ndarray of
-        bits in agent order.  Returns the stakes every agent must deposit for
-        the next step.
-        """
-        p = self.params
-        bits, present = self._coerce_bits(records, step)
+        self.gap_events += [(step, self.agents[i])
+                            for i in np.flatnonzero(~present).tolist()]
 
         if present.any():
             mean_now = float(bits[present].mean())
@@ -280,6 +254,7 @@ def simulate_compliance(params: ControllerParams, q: np.ndarray, steps: int,
     n = len(q)
     agents = [f"a{i}" for i in range(n)]
     ctrl = ComplianceController(params, agents, tangle=tangle, channel=channel)
+    everyone = np.ones(n, dtype=bool)
     rng = np.random.default_rng(seed)
     mean_compliance = np.zeros(steps)
     global_cost = np.zeros(steps)
@@ -287,10 +262,9 @@ def simulate_compliance(params: ControllerParams, q: np.ndarray, steps: int,
     for k in range(1, steps + 1):
         probs = ctrl.probabilities(q)
         bits = (rng.random(n) < probs).astype(float)
-        res = ctrl.step(k, bits)
+        res = ctrl.step(k, bits, everyone)
         mean_compliance[k - 1] = res.mean_compliance
         global_cost[k - 1] = res.global_cost
         mean_c[k - 1] = res.mean_individual_cost
     return ComplianceRun(mean_compliance, global_cost, mean_c,
-                         ctrl.windowed_avgs.copy(),
-                         np.array(list(ctrl.stakes().values())))
+                         ctrl.windowed_avgs.copy(), ctrl.stakes())

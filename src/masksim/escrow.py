@@ -27,8 +27,9 @@ A deposit the wallet cannot cover is never an error: it is recorded as an
 exclusion event (the agent is barred for the step) and state is unchanged.
 
 A run drives the bank with three calls that name no policy: ``enter``
-before a step's mask bits are drawn, ``settle`` after the controller step
-and ``close`` at exit.  Which per-agent rule applies is decided here alone.
+before a step's mask bits are drawn, ``settle`` after the controller step,
+on the same ledger read the controller acted on, and ``close`` at exit.
+Which per-agent rule applies is decided here alone.
 
 When a ledger channel is attached, every executed transfer is mirrored to
 it, so replaying the channel reconstructs all balances.  Transfers are
@@ -46,6 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import Enum
+
+import numpy as np
 
 from .ledger import MamChannel, Tangle
 from .records import decode_bundle, encode_bundles
@@ -175,30 +178,38 @@ class EscrowBank:
 
     # -- the policy, one step at a time ------------------------------------
 
-    def enter(self, stakes: dict[str, float], step: int) -> None:
-        """Stake a bond at the controller's price for every agent without an
-        active one, before the step's mask bits are drawn.  A fixed-penalty
-        stay has one bond, staked at step 1: there is no re-entry mid-run."""
+    def enter(self, stakes: np.ndarray, step: int) -> None:
+        """Stake a bond at the controller's price (``stakes`` in bank order)
+        for every agent without an active one, before the step's mask bits
+        are drawn.  A fixed-penalty stay has one bond, staked at step 1:
+        there is no re-entry mid-run."""
         if self.policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
             return
-        for agent, bond in self.bonds.items():
+        for (agent, bond), stake in zip(self.bonds.items(), stakes.tolist(),
+                                        strict=True):
             if bond.state is not BondState.ACTIVE:
-                self.deposit(agent, stakes[agent], step)
+                self.deposit(agent, stake, step)
 
-    def settle(self, bits, next_stakes: dict[str, float], step: int) -> None:
-        """Settle every active bond against its owner's mask bit (``bits``
-        in bank order), re-staking at ``next_stakes`` where the policy says
-        so, then commit the step's transfers.  A fixed-penalty bond is held
-        until :meth:`close`; a violation is only noted."""
+    def settle(self, bits: np.ndarray, present: np.ndarray,
+               next_stakes: np.ndarray, step: int) -> None:
+        """Settle every active bond against its owner's mask bit as read
+        from the ledger, re-staking at ``next_stakes`` where the policy says
+        so, then commit the step's transfers; all arrays are in bank order.
+        A fixed-penalty bond is held until :meth:`close`; a violation is only
+        noted.  An agent with no record holds its bond: no settlement, and
+        no fixed-penalty violation."""
+        records = zip(self.bonds.items(), bits.tolist(), present.tolist(),
+                      next_stakes.tolist(), strict=True)
         if self.policy is PenaltyPolicy.FIXED_PENALTY:
-            self._violators.update(a for a, m in zip(self.bonds, bits) if not m)
+            self._violators.update(agent for (agent, _), m, got, _ in records
+                                   if got and not m)
         else:
             settle_one = (self.settle_event
                           if self.policy is PenaltyPolicy.EVENT_DRIVEN
                           else self.settle_step)
-            for (agent, bond), m in zip(self.bonds.items(), bits):
-                if bond.state is BondState.ACTIVE:
-                    settle_one(agent, m, next_stakes[agent], step)
+            for (agent, bond), m, got, stake in records:
+                if got and bond.state is BondState.ACTIVE:
+                    settle_one(agent, m, stake, step)
         self.commit()
 
     def close(self, step: int) -> None:

@@ -321,7 +321,7 @@ class Tangle:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise IntegrityError(f"snapshot is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise IntegrityError("not a tangle snapshot")

@@ -7,11 +7,12 @@ One run is the paper's pipeline, one pass per step:
              from a replayed sensor capture, with a UWB position fix)
     publish  each mask publishes its status on the bus, and the gateway
              bridges the bus onto the agent's ledger channel
-    read     the controller's view: the statuses read back from the ledger
+    read     each agent's bit as read back from the ledger, and whether its
+             record arrived: the one view both control and settle act on
     control  the controller updates the costs and publishes the cost
              vector on its own channel
-    settle   the bank settles every bond and commits the step's transfers
-             to its channel as bundles
+    settle   the bank settles every bond whose record arrived and commits
+             the step's transfers to its channel as bundles
     advance  the epidemic moves one step
 
 When the loop ends the bank closes the fixed-penalty bonds, a replay of
@@ -149,9 +150,9 @@ class _Run:
         self.gateway = Gateway(
             self.bus, self.tangle,
             {status_topic(a): self.channels[a] for a in self.agents})
-        self.readers = {
-            a: ChannelReader(self.tangle, ch.base_address, ch.mode, ch.side_key)
-            for a, ch in self.channels.items()}
+        self.readers = [
+            ChannelReader(self.tangle, ch.base_address, ch.mode, ch.side_key)
+            for ch in self.channels.values()]
         self.world = World(config.world)
 
         self.controller = None
@@ -216,24 +217,29 @@ class _Run:
                              publisher_id=a)
         self.gateway.pump()
 
-    def _read_records(self, step: int) -> dict[str, int]:
-        records: dict[str, int] = {}
-        for a, reader in self.readers.items():
+    def _read_records(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """The step's statuses as read back from the ledger, in agent order:
+        each agent's mask bit, and whether its record arrived."""
+        bits = np.zeros(len(self.agents))
+        present = np.zeros(len(self.agents), dtype=bool)
+        for i, reader in enumerate(self.readers):
             for msg in reader.poll():
                 rec = decode_bridge_record(msg.body)
                 if rec is None:
                     continue
                 doc = decode_status(rec["payload"])
                 if doc is not None and doc["step"] == step:
-                    records[a] = doc["M"]
-        if len(records) != len(self.agents):
+                    bits[i] = doc["M"]
+                    present[i] = True
+        if not present.all():
             log.warning("step %d: %d/%d compliance records on ledger",
-                        step, len(records), len(self.agents))
-        return records
+                        step, present.sum(), len(self.agents))
+        return bits, present
 
-    def _control(self, step: int, records: dict[str, int]) -> dict[str, float]:
+    def _control(self, step: int, bits: np.ndarray,
+                 present: np.ndarray) -> np.ndarray:
         """One controller step; returns the stakes for the next step."""
-        res = self.controller.step(step, records)
+        res = self.controller.step(step, bits, present)
         self.cost_rows.append((step, res.global_cost,
                                res.mean_individual_cost, res.mean_compliance))
         return res.stakes
@@ -265,10 +271,10 @@ class _Run:
         for step in range(1, steps + 1):
             bits, positions = self._sense(step)
             self._publish_statuses(step, bits, positions)   # publish, bridge
-            records = self._read_records(step)
+            read_bits, present = self._read_records(step)
             if self.controlled:
-                stakes = self._control(step, records)
-                self.bank.settle(bits, stakes, step)
+                stakes = self._control(step, read_bits, present)
+                self.bank.settle(read_bits, present, stakes, step)
                 if not self.bank.conservation_ok():
                     raise InvariantBreach(
                         f"escrow: token conservation violated at step {step}")

@@ -224,6 +224,6 @@ def load_scenario(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)

@@ -281,8 +281,9 @@ def test_08_windowed_average_oracle():
     for gamma in (0.1, 0.5, 0.9):
         ctrl = ComplianceController(ControllerParams(gamma=gamma),
                                     [f"a{a}" for a in range(len(histories))])
+        everyone = np.ones(len(histories), dtype=bool)
         for k, bits in enumerate(padded, start=1):
-            ctrl.step(k, bits)
+            ctrl.step(k, bits, everyone)
         for a, bits in enumerate(histories):
             k = len(bits)
             direct = (1 - gamma) * sum(gamma ** (k - j) * bits[j - 1]

@@ -51,13 +51,19 @@ def one_step_controller(n, **params):
                                 [f"a{i}" for i in range(n)])
 
 
+def step_all(ctrl, k, bits):
+    """One step with every agent's record present."""
+    return ctrl.step(k, np.array(bits, dtype=float),
+                     np.ones(len(ctrl.agents), dtype=bool))
+
+
 def windowed_averages(bits, gamma):
     """Windowed averages of one agent after each step of ``bits``."""
     ctrl = one_step_controller(1, gamma=gamma)
     out = []
     for k, m in enumerate(bits, start=1):
-        ctrl.step(k, np.array([float(m)]))
-        out.append(ctrl.windowed_avg_of("a0"))
+        step_all(ctrl, k, [m])
+        out.append(float(ctrl.windowed_avgs[0]))
     return out
 
 
@@ -69,7 +75,7 @@ def test_global_update_frozen_value():
     # C=2.0, alpha=0.5, Q*=0.8, mean=0.6 -> 2.0 + 0.5*(0.8-0.6) = 2.1
     ctrl = one_step_controller(5, alpha=0.5, q_star=0.8,
                                initial_global_cost=2.0)
-    res = ctrl.step(1, np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+    res = step_all(ctrl, 1, [1.0, 1.0, 1.0, 0.0, 0.0])
     assert res.mean_compliance == 0.6
     assert ctrl.global_cost == global_cost_oracle(2.0, 0.6, 0.5, 0.8)
     assert ctrl.global_cost == pytest.approx(2.1)
@@ -78,13 +84,13 @@ def test_global_update_frozen_value():
 def test_global_update_equilibrium():
     ctrl = one_step_controller(5, alpha=0.5, q_star=0.8,
                                initial_global_cost=1.7)
-    ctrl.step(1, np.array([1.0, 1.0, 1.0, 1.0, 0.0]))   # mean 0.8 = Q*
+    step_all(ctrl, 1, [1.0, 1.0, 1.0, 1.0, 0.0])   # mean 0.8 = Q*
     assert ctrl.global_cost == 1.7
 
 
 def test_global_update_can_go_negative():
     ctrl = one_step_controller(3, alpha=1.0, q_star=0.9)
-    res = ctrl.step(1, {"a0": 1, "a1": 1, "a2": 1})
+    res = step_all(ctrl, 1, [1, 1, 1])
     assert res.global_cost == global_cost_oracle(0.0, 1.0, 1.0, 0.9)
     assert res.global_cost == pytest.approx(-0.1)
 
@@ -92,37 +98,46 @@ def test_global_update_can_go_negative():
 def test_global_update_rejects_bad_mean():
     ctrl = one_step_controller(1, alpha=1.0, q_star=0.9)
     with pytest.raises(ValueError, match="outside"):
-        ctrl.step(1, {"a0": 1.2})
+        step_all(ctrl, 1, [1.2])
     assert ctrl.global_cost == 0.0 and ctrl.windowed_avgs[0] == 0.0
 
 
-@pytest.mark.parametrize("records,agent", [
-    pytest.param({"a": 3, "b": -1}, "a", id="mapping-mean-in-range"),
-    pytest.param({"a": 1, "b": 0.5}, "b", id="mapping-fraction"),
-    pytest.param({"a": 0, "b": float("nan")}, "b", id="mapping-nan"),
-    pytest.param(np.array([0.0, 2.0]), "b", id="array"),
-])
-def test_step_rejects_bits_other_than_0_or_1(records, agent):
-    ctrl = ComplianceController(ControllerParams(delay=0), ["a", "b"])
-    ctrl.step(1, {"a": 1, "b": 0})
+def assert_step_rejected(ctrl, match, bits, present):
+    """``step`` raises ``ValueError`` and leaves every piece of state as it
+    was, and the controller still steps afterwards."""
     before = (ctrl.global_cost, ctrl.individual_costs.copy(),
               ctrl.windowed_avgs.copy(), list(ctrl.gap_events))
-    with pytest.raises(ValueError, match=f"step 2: agent '{agent}'"):
-        ctrl.step(2, records)
+    with pytest.raises(ValueError, match=match):
+        ctrl.step(2, bits, present)
     assert ctrl.global_cost == before[0]
     assert np.array_equal(ctrl.individual_costs, before[1])
     assert np.array_equal(ctrl.windowed_avgs, before[2])
     assert ctrl.gap_events == before[3]
-    ctrl.step(2, {"a": 1, "b": 1})          # still usable afterwards
+    step_all(ctrl, 2, [1] * len(ctrl.agents))
+
+
+# the ids name the input forms the bits once came in
+@pytest.mark.parametrize("bits,agent", [
+    pytest.param([3, -1], "a", id="mapping-mean-in-range"),
+    pytest.param([1, 0.5], "b", id="mapping-fraction"),
+    pytest.param([0, float("nan")], "b", id="mapping-nan"),
+    pytest.param([0.0, 2.0], "b", id="array"),
+])
+def test_step_rejects_bits_other_than_0_or_1(bits, agent):
+    ctrl = ComplianceController(ControllerParams(delay=0), ["a", "b"])
+    step_all(ctrl, 1, [1, 0])
+    assert_step_rejected(ctrl, f"step 2: agent '{agent}'", np.array(bits),
+                         np.ones(2, dtype=bool))
 
 
 def test_individual_update_fixed_point():
     # gamma=0.1: one compliant step lifts the average to 0.9 = Q*
     ctrl = one_step_controller(1, beta=1.0, gamma=0.1, q_star=0.9)
-    ctrl.step(1, {"a0": 1})
-    assert ctrl.windowed_avg_of("a0") == 0.9
-    assert ctrl.cost_of("a0") == individual_cost_oracle(0.0, 0.9, 1.0, 0.9)
-    assert ctrl.cost_of("a0") == 0.0
+    step_all(ctrl, 1, [1])
+    assert ctrl.windowed_avgs[0] == 0.9
+    assert ctrl.individual_costs[0] == individual_cost_oracle(0.0, 0.9, 1.0,
+                                                              0.9)
+    assert ctrl.individual_costs[0] == 0.0
 
 
 def test_individual_update_frozen_value():
@@ -130,14 +145,13 @@ def test_individual_update_frozen_value():
     # avg=0 and c=-1 checks the law per agent
     ctrl = one_step_controller(2, beta=2.0, gamma=0.6, q_star=0.9)
     ctrl.individual_costs[:] = [1.0, -1.0]
-    ctrl.step(1, {"a0": 1, "a1": 0})
-    assert ctrl.windowed_avg_of("a0") == pytest.approx(0.4)
-    for agent, c0 in (("a0", 1.0), ("a1", -1.0)):
-        want = individual_cost_oracle(c0, ctrl.windowed_avg_of(agent),
-                                      2.0, 0.9)
-        assert ctrl.cost_of(agent) == want
-    assert ctrl.cost_of("a0") == pytest.approx(2.0)
-    assert ctrl.cost_of("a1") == pytest.approx(0.8)
+    step_all(ctrl, 1, [1, 0])
+    assert ctrl.windowed_avgs[0] == pytest.approx(0.4)
+    for i, c0 in enumerate((1.0, -1.0)):
+        want = individual_cost_oracle(c0, ctrl.windowed_avgs[i], 2.0, 0.9)
+        assert ctrl.individual_costs[i] == want
+    assert ctrl.individual_costs[0] == pytest.approx(2.0)
+    assert ctrl.individual_costs[1] == pytest.approx(0.8)
 
 
 # =============================================================================
@@ -215,12 +229,12 @@ def test_scaled_logistic_rejects_nonpositive_scale():
 def test_stake_amount_clamps_at_zero():
     ctrl = one_step_controller(3, initial_global_cost=3.0)
     ctrl.individual_costs[:] = [1.0, -5.0, -3.0]
-    assert ctrl.stakes() == {"a0": 4.0, "a1": 0.0, "a2": 0.0}
+    assert ctrl.stakes().tolist() == [4.0, 0.0, 0.0]
     ctrl.global_cost = -2.0
     ctrl.individual_costs[:] = [1.0, 2.0, 0.0]
-    stakes = ctrl.stakes()
-    assert stakes == {"a0": 0.0, "a1": 0.0, "a2": 0.0}
-    for i, (agent, stake) in enumerate(stakes.items()):
+    stakes = ctrl.stakes().tolist()     # the bank's view of the array
+    assert stakes == [0.0, 0.0, 0.0]
+    for i, stake in enumerate(stakes):
         assert type(stake) is float
         assert stake == stake_oracle(-2.0, ctrl.individual_costs[i])
 
@@ -249,7 +263,7 @@ def test_equilibrium_step_leaves_costs_unchanged():
     ctrl.windowed_avgs[:] = 0.5
     ctrl._mean_history.append(0.5)
     ctrl._avg_history.append(np.array([0.5, 0.5]))
-    ctrl.step(1, {"a": 1, "b": 0})   # update consumes the primed k-m values
+    step_all(ctrl, 1, [1, 0])   # update consumes the primed k-m values
     assert ctrl.global_cost == 0.0
     assert np.all(ctrl.individual_costs == 0.0)
 
@@ -261,25 +275,28 @@ def test_identical_agents_get_identical_costs():
     for k in range(1, 200):
         m = int(rng.random() < 0.7)
         other = int(rng.random() < 0.5)
-        ctrl.step(k, {"x": m, "y": m, "z": other})
-    assert ctrl.cost_of("x") == ctrl.cost_of("y")          # bit-exact
-    assert ctrl.windowed_avg_of("x") == ctrl.windowed_avg_of("y")
+        step_all(ctrl, k, [m, m, other])
+    assert ctrl.individual_costs[0] == ctrl.individual_costs[1]   # bit-exact
+    assert ctrl.windowed_avgs[0] == ctrl.windowed_avgs[1]
 
 
 def test_gap_records_hold_value_and_log_event():
     params = ControllerParams(delay=0)
     ctrl = ComplianceController(params, ["a", "b"])
-    ctrl.step(1, {"a": 1, "b": 1})
-    avg_b = ctrl.windowed_avg_of("b")
-    ctrl.step(2, {"a": 1})
-    assert ctrl.windowed_avg_of("b") == avg_b
+    step_all(ctrl, 1, [1, 1])
+    avg_b = ctrl.windowed_avgs[1]
+    # an absent agent's bit is ignored, even one that is not 0 or 1
+    ctrl.step(2, np.array([1.0, np.nan]), np.array([True, False]))
+    assert ctrl.windowed_avgs[1] == avg_b
     assert (2, "b") in ctrl.gap_events
 
 
-def test_unregistered_agent_is_usage_error():
-    ctrl = ComplianceController(ControllerParams(), ["a"])
-    with pytest.raises(KeyError):
-        ctrl.step(1, {"intruder": 1})
+def test_step_rejects_wrong_length_records():
+    ctrl = ComplianceController(ControllerParams(delay=0), ["a", "b"])
+    step_all(ctrl, 1, [1, 0])
+    for n_bits, n_present in ((1, 2), (2, 3), (3, 3)):
+        assert_step_rejected(ctrl, "expected 2 bits", np.ones(n_bits),
+                             np.ones(n_present, dtype=bool))
 
 
 def test_full_compliance_from_start_memoryless_window():
@@ -289,8 +306,8 @@ def test_full_compliance_from_start_memoryless_window():
     ctrl = ComplianceController(params, ["solo"])
     stakes = []
     for k in range(1, 60):
-        res = ctrl.step(k, {"solo": 1})
-        stakes.append(res.stakes["solo"])
+        res = step_all(ctrl, k, [1])
+        stakes.append(res.stakes[0])
     assert all(b <= a + 1e-12 for a, b in zip(stakes, stakes[1:]))
 
 
@@ -303,8 +320,8 @@ def test_full_compliance_from_start_bounded_discounted_window():
     ctrl = ComplianceController(params, ["solo"])
     stakes = []
     for k in range(1, 400):
-        res = ctrl.step(k, {"solo": 1})
-        stakes.append(res.stakes["solo"])
+        res = step_all(ctrl, k, [1])
+        stakes.append(res.stakes[0])
     assert all(b >= a - 1e-12 for a, b in zip(stakes, stakes[1:]))
     # error terms: gamma at steps 1 and 2 (hold), then gamma^(k-1)
     limit = beta * (gamma + gamma / (1 - gamma))
@@ -315,13 +332,13 @@ def test_delay_buffer_holds_oldest_measurement():
     params = ControllerParams(alpha=1.0, beta=1.0, gamma=0.0, q_star=1.0, delay=2)
     ctrl = ComplianceController(params, ["a"])
     # with delay 2, the first two steps both see the oldest mean (step 1's)
-    ctrl.step(1, {"a": 0})
+    step_all(ctrl, 1, [0])
     assert ctrl.global_cost == pytest.approx(1.0)   # uses mean(1)=0
-    ctrl.step(2, {"a": 1})
+    step_all(ctrl, 2, [1])
     assert ctrl.global_cost == pytest.approx(2.0)   # still mean(1)=0
-    ctrl.step(3, {"a": 1})
+    step_all(ctrl, 3, [1])
     assert ctrl.global_cost == pytest.approx(3.0)   # buffer full: mean(1)=0
-    ctrl.step(4, {"a": 1})
+    step_all(ctrl, 4, [1])
     assert ctrl.global_cost == pytest.approx(3.0)   # now sees mean(2)=1
 
 

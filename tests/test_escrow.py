@@ -383,25 +383,28 @@ def test_transfer_csv_schema(tmp_path):
 def dispatch_oracle(b, agents, schedule):
     """The per-agent policy dispatch a closed-loop run once did itself,
     kept as the oracle: which rule applies to which bond under which policy,
-    with the fixed-penalty compliance history kept outside the bank."""
+    with the fixed-penalty compliance history kept outside the bank.  An
+    agent with no record that step is skipped: its bond is held."""
     policy = b.policy
     all_compliant = np.ones(len(agents), dtype=bool)
-    for step, (stakes, bits, next_stakes) in enumerate(schedule, start=1):
-        for a in agents:
+    for step, (stakes, bits, present, next_stakes) in enumerate(schedule,
+                                                                 start=1):
+        stakes, next_stakes = stakes.tolist(), next_stakes.tolist()
+        for i, a in enumerate(agents):
             if b.bonds[a].state is not BondState.ACTIVE:
                 if policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
                     continue
-                b.deposit(a, stakes[a], step)
-        all_compliant &= bits != 0
+                b.deposit(a, stakes[i], step)
+        all_compliant &= (bits != 0) | ~present
         for i, a in enumerate(agents):
-            if b.bonds[a].state is not BondState.ACTIVE:
+            if b.bonds[a].state is not BondState.ACTIVE or not present[i]:
                 continue
             m = int(bits[i])
             if policy in (PenaltyPolicy.ADAPTIVE,
                           PenaltyPolicy.ADAPTIVE_WITH_RETURN):
-                b.settle_step(a, m, next_stakes[a], step)
+                b.settle_step(a, m, next_stakes[i], step)
             elif policy is PenaltyPolicy.EVENT_DRIVEN:
-                b.settle_event(a, m, next_stakes[a], step)
+                b.settle_event(a, m, next_stakes[i], step)
         b.commit()
     if policy is PenaltyPolicy.FIXED_PENALTY:
         for a, compliant in zip(agents, all_compliant.tolist()):
@@ -411,9 +414,10 @@ def dispatch_oracle(b, agents, schedule):
 
 
 def step_calls(b, schedule):
-    for step, (stakes, bits, next_stakes) in enumerate(schedule, start=1):
+    for step, (stakes, bits, present, next_stakes) in enumerate(schedule,
+                                                                 start=1):
         b.enter(stakes, step)
-        b.settle(bits, next_stakes, step)
+        b.settle(bits, present, next_stakes, step)
     b.close(len(schedule))
 
 
@@ -427,13 +431,18 @@ def test_step_calls_equal_per_agent_dispatch(policy, seed):
     balances = {a: float(rng.integers(0, 9)) for a in agents}
 
     def price():
-        return {a: float(np.round(rng.uniform(0, 4), 4)) for a in agents}
+        return np.round(rng.uniform(0, 4, len(agents)), 4)
 
     # every third agent always wears a mask, so some fixed-penalty bonds
-    # come back at exit
+    # come back at exit; a tenth of the records never reach the ledger, and
+    # the first agent's mask is off exactly when its record is lost
     compliance = np.where(np.arange(len(agents)) % 3 == 0, 1.0, 0.7)
-    schedule = [(price(), (rng.random(len(agents)) < compliance).astype(np.int8),
-                 price()) for _ in range(30)]
+    schedule = []
+    for step in range(1, 31):
+        bits = (rng.random(len(agents)) < compliance).astype(np.int8)
+        present = rng.random(len(agents)) >= 0.1
+        present[0] = bits[0] = step % 3 != 0
+        schedule.append((price(), bits, present, price()))
     banks = []
     for drive in (dispatch_oracle, None):
         tangle = Tangle(rng_seed=seed)
@@ -458,6 +467,10 @@ def test_step_calls_equal_per_agent_dispatch(policy, seed):
     assert b.replay_mismatch(replay_records(ledger)) is None
     assert b.conservation_ok()
 
+    # an unrecorded violation is never punished: the bond is held
+    assert [t.kind for t in b.transfers if t.agent_id == "a0"]
+    assert not [t for t in b.transfers
+                if t.agent_id == "a0" and t.kind == "forfeit"]
     assert oracle.exclusions
     if policy is PenaltyPolicy.FIXED_PENALTY:
         kinds = {t.kind for t in b.transfers if t.step == len(schedule)}

@@ -7,10 +7,14 @@ import json
 import numpy as np
 import pytest
 
+from masksim import cli
+from masksim.bus import Gateway
 from masksim.cli import main
-from masksim.escrow import EscrowBank, PenaltyPolicy
-from masksim.runner import (agent_ids, detector_bits, read_replay_csv,
-                            run_hil_replay, run_scenario)
+from masksim.escrow import EscrowBank, PenaltyPolicy, replay_records
+from masksim.ledger import mam_fetch
+from masksim.records import decode_status
+from masksim.runner import (agent_ids, detector_bits, escrow_channel,
+                            read_replay_csv, run_hil_replay, run_scenario)
 from masksim.scenario import ConfigError, load_scenario, scenario_from_dict
 from masksim.sensing import DetectorConfig, synth_stream
 
@@ -392,8 +396,35 @@ def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, over, args,
     assert "Traceback" not in err
 
 
+NOT_UTF8 = b'{"format": "masksim-tangle\xff"}'
+
+
 def test_cli_missing_config_exit_4(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json")]) == 4
+
+
+@pytest.mark.parametrize("argv,content,code", [
+    pytest.param(["simulate", "{path}"], None, 4, id="simulate-directory"),
+    pytest.param(["ledger", "inspect", "{path}"], None, 4,
+                 id="inspect-directory"),
+    pytest.param(["position", "{ranges}", "--out", "{path}"], None, 4,
+                 id="position-out-directory"),
+    pytest.param(["simulate", "{path}"], NOT_UTF8, 2, id="simulate-not-utf8"),
+    pytest.param(["position", "{path}"], NOT_UTF8, 2, id="position-not-utf8"),
+])
+def test_cli_unreadable_input_exit_code_without_traceback(
+        tmp_path, capsys, argv, content, code):
+    """A directory is an i/o error; a file that is not UTF-8 text is a
+    malformed input."""
+    path, ranges = tmp_path / "input", tmp_path / "ranges.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    _write_ranges(ranges, [(0.0, 0.0), (20.0, 0.0), (0.0, 10.0)], (4.0, 3.0))
+    assert main([a.format(path=path, ranges=ranges) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
 
 
 def test_cli_ledger_inspect_clean_and_tampered(tmp_path, capsys):
@@ -419,10 +450,12 @@ def test_cli_ledger_inspect_clean_and_tampered(tmp_path, capsys):
      "transactions": []},
     {"format": "masksim-tangle", "version": 1, "genesis": "00" * 32,
      "transactions": None},
-], ids=["top-level-list", "no-genesis", "non-hex-genesis", "null-transactions"])
+    NOT_UTF8,
+], ids=["top-level-list", "no-genesis", "non-hex-genesis", "null-transactions",
+        "not-utf8"])
 def test_cli_ledger_inspect_malformed_snapshot_exit_3(tmp_path, capsys, doc):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     assert main(["ledger", "inspect", str(path)]) == 3
     err = capsys.readouterr().err
     assert "VIOLATION" in err and "Traceback" not in err
@@ -445,6 +478,44 @@ def test_cli_dropped_escrow_bundle_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "invariant breach: escrow: ledger replay differs" in err
     assert "Traceback" not in err
+
+
+def test_dead_lettered_status_is_a_gap_to_controller_and_bank(
+        tmp_path, monkeypatch):
+    lost = (5, "a003")                  # (step, agent) of the lost status
+    real_append = Gateway._append
+
+    def lossy_append(gateway, channel, message):
+        if (decode_status(message.payload)["step"],
+                message.publisher_id) == lost:
+            return None                 # dead-lettered, never on the ledger
+        return real_append(gateway, channel, message)
+
+    results = []
+
+    def keep_result(config, out_dir=None):
+        results.append(run_scenario(config, out_dir=out_dir))
+        return results[-1]
+
+    monkeypatch.setattr(Gateway, "_append", lossy_append)
+    monkeypatch.setattr(cli, "run_scenario", keep_result)
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path)),
+                 "--out-dir", str(out)]) == 0
+    res = results[0]
+    assert res.controller.gap_events == [lost]
+    assert res.summary.bridge["dead_letters"] == 1
+
+    with open(out / "transfers.csv", newline="") as fh:
+        steps = {int(row["step"]) for row in csv.DictReader(fh)
+                 if row["agent"] == lost[1]}
+    # the bond is held through the gap: settled the step before and after
+    assert lost[0] not in steps and {lost[0] - 1, lost[0] + 1} <= steps
+    assert res.bank.conservation_ok()
+    channel = escrow_channel(11)
+    replayed = replay_records(
+        mam_fetch(res.tangle, channel.base_address, channel.mode))
+    assert res.bank.replay_mismatch(replayed) is None
 
 
 def test_cli_hil_replay_smoke(tmp_path):
