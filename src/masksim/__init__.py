@@ -17,7 +17,7 @@ from .ledger import (ChannelMode, ChannelReader, MamChannel, Tangle,
 from .positioning import (Anchor, FixResult, TwrTimestamps, distance,
                           multilaterate, simulate_exchange, time_of_flight)
 from .sensing import (CombineRule, DetectorConfig, GasSample, MaskDetector,
-                      StreamLevels, publish_status, synth_stream)
+                      StreamLevels, synth_stream)
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "MaskDetector", "MessageBus", "MonotoneLink", "PenaltyPolicy",
     "StreamLevels", "Tangle", "TwrTimestamps", "Wallet", "World",
     "WorldConfig", "channel_address", "distance", "mam_fetch",
-    "multilaterate", "publish_status", "simulate_compliance",
-    "simulate_exchange", "synth_stream", "time_of_flight",
+    "multilaterate", "simulate_compliance", "simulate_exchange",
+    "synth_stream", "time_of_flight",
 ]

@@ -165,7 +165,7 @@ class Gateway:
         self._tangle = tangle
         self._routes = dict(routes)
         self._subs = {topic: bus.subscribe(topic) for topic in self._routes}
-        self._seen: dict[tuple[str, str, int], bytes] = {}
+        self._seen: set[tuple[str, str, int]] = set()
         self.bridged = 0
         self.duplicates = 0
         self.dead_letters: list[BusMessage] = []
@@ -175,17 +175,13 @@ class Gateway:
             for msg in reader.poll():
                 rec = decode_bridge_record(msg.body)
                 if rec is not None:
-                    self._seen[(rec["publisher"], rec["topic"], rec["seq"])] = msg.tx_id
+                    self._seen.add((rec["publisher"], rec["topic"], rec["seq"]))
             # recover the publish cursor of a restarted writer
             channel.fast_forward(reader.next_index)
 
     @property
     def dropped(self) -> int:
         return sum(s.dropped for s in self._subs.values())
-
-    def tx_for(self, publisher_id: str, topic: str, sequence: int) -> bytes | None:
-        """Ledger transaction id a bridged message landed in, if bridged."""
-        return self._seen.get((publisher_id, topic, sequence))
 
     def pump(self, limit: int | None = None) -> list[bytes]:
         """Bridge pending messages; returns appended transaction ids.
@@ -210,7 +206,7 @@ class Gateway:
                 if tx_id is None:
                     self.dead_letters.append(message)
                 else:
-                    self._seen[key] = tx_id
+                    self._seen.add(key)
                     self.bridged += 1
                     appended.append(tx_id)
             if limit is not None and processed >= limit:

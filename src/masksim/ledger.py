@@ -81,7 +81,14 @@ class PayloadTooLarge(LedgerError):
 
 
 class IntegrityError(LedgerError):
-    """Stored data fails verification (corrupt snapshot, bad hash, ...)."""
+    """Stored data fails verification (corrupt snapshot, bad hash, ...).
+
+    ``problems`` holds one line per fault; the message joins them.
+    """
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 class ChannelKeyError(LedgerError):
@@ -126,16 +133,31 @@ class Tangle:
     """
 
     def __init__(self, rng_seed: int = 0):
+        gid = transaction_id((ZERO32, ZERO32), _GENESIS_PAYLOAD, None)
+        self._start(gid, rng_seed)
+        self._attach(Transaction(gid, (gid, gid), _GENESIS_PAYLOAD, None, 0))
+
+    def _start(self, genesis: bytes, rng_seed: int) -> None:
+        """An empty store around the genesis id; ``_attach`` fills it."""
         self._lock = threading.RLock()
         self._rng = random.Random(rng_seed)
-        gid = transaction_id((ZERO32, ZERO32), _GENESIS_PAYLOAD, None)
-        genesis = Transaction(gid, (gid, gid), _GENESIS_PAYLOAD, None, 0)
-        self.genesis = gid
-        self.transactions: dict[bytes, Transaction] = {gid: genesis}
+        self.genesis = genesis
+        self.transactions: dict[bytes, Transaction] = {}
         # insertion-ordered so tip sampling never depends on bytes hashing
-        self._tips: dict[bytes, None] = {gid: None}
-        self._by_address: dict[bytes, list[bytes]] = {}
-        self._next_time = 1
+        self._tips: dict[bytes, None] = {}
+        self._by_address: dict[bytes, list[Transaction]] = {}
+        self._next_time = 0
+
+    def _attach(self, tx: Transaction) -> None:
+        """Store ``tx``: the one place the store, the tips and the address
+        index change.  The caller holds the lock or owns the tangle."""
+        self.transactions[tx.id] = tx
+        for p in tx.parents:
+            self._tips.pop(p, None)
+        self._tips[tx.id] = None
+        if tx.channel_address is not None:
+            self._by_address.setdefault(tx.channel_address, []).append(tx)
+        self._next_time = tx.logical_time + 1
 
     # -- core operations ------------------------------------------------
 
@@ -182,32 +204,29 @@ class Tangle:
                 # identical content already attached at the same parents;
                 # content addressing makes the re-append a no-op
                 return tid
-            tx = Transaction(tid, parents, payload, channel_address, self._next_time)
-            self._next_time += 1
-            self.transactions[tid] = tx
-            for p in parents:
-                self._tips.pop(p, None)
-            self._tips[tid] = None
-            if channel_address is not None:
-                self._by_address.setdefault(channel_address, []).append(tid)
+            self._attach(Transaction(tid, parents, payload, channel_address,
+                                     self._next_time))
             return tid
 
     def transactions_at(self, address: bytes) -> list[Transaction]:
         """All transactions carrying ``address``, in append order."""
         with self._lock:
-            return [self.transactions[t] for t in self._by_address.get(address, ())]
+            return list(self._by_address.get(address, ()))
 
     # -- verification ---------------------------------------------------
 
     def verify(self) -> list[str]:
-        """Run every structural invariant; returns a list of violations.
+        """Check every structural invariant; returns one line per fault.
 
-        One walk over the store, holding the lock.  The store keeps append
-        order (``load`` keeps the snapshot's order), logical time must rise
-        strictly along it, and so every parent is met before its children.
+        One walk over the store in append order (``load`` keeps the
+        snapshot's order), holding the lock.  Two ordering rules carry the
+        structure: logical time rises strictly along the store, and every
+        parent resolves to a transaction with a lower logical time.  Together
+        they make the DAG acyclic and lead every ancestor chain back to
+        genesis, so a fault is reported where it is and not again at each
+        descendant.
         """
         problems: list[str] = []
-        unreachable: list[bytes] = []
         with self._lock:
             txs = self.transactions
             genesis = self.genesis
@@ -218,7 +237,6 @@ class Tangle:
                 problems.append("genesis does not reference itself twice")
 
             children = dict.fromkeys(txs, 0)
-            reaches: set[bytes] = set()     # every ancestor path ends at genesis
             last_time = -1
             for tid, tx in txs.items():
                 is_genesis = tid == genesis
@@ -228,41 +246,25 @@ class Tangle:
                     problems.append(f"content hash mismatch on {tid.hex()[:16]}")
                 if len(tx.payload) > MAX_PAYLOAD:
                     problems.append(f"oversize payload on {tid.hex()[:16]}")
-                if len(tx.parents) != 2:
-                    problems.append(f"{tid.hex()[:16]} does not have 2 parents")
                 if tx.logical_time <= last_time:
                     problems.append(
                         f"{tid.hex()[:16]} is stored out of logical-time order "
                         f"({tx.logical_time} after {last_time})")
                 last_time = tx.logical_time
                 if is_genesis:
-                    reaches.add(tid)
                     continue
-                if tid in tx.parents:
-                    problems.append(f"{tid.hex()[:16]} references itself")
-                reached = True
-                for p in tx.parents:
+                for p in dict.fromkeys(tx.parents):     # a twice-named parent once
                     parent = txs.get(p)
                     if parent is None:
                         problems.append(f"{tid.hex()[:16]} has unresolvable "
                                         f"parent {p.hex()[:16]}")
-                        reached = False
                         continue
                     children[p] += 1
                     if parent.logical_time >= tx.logical_time:
                         problems.append(f"{tid.hex()[:16]} does not postdate "
                                         f"parent {p.hex()[:16]}")
-                    reached = reached and p in reaches
-                if reached:
-                    reaches.add(tid)
-                else:
-                    unreachable.append(tid)
             tips = set(self._tips)
 
-        # the walk meets parents first, so a transaction reaches genesis iff
-        # its parents already did; this catches a disconnected second root
-        problems.extend(f"{t.hex()[:16]} cannot reach genesis"
-                        for t in unreachable)
         expected_tips = {t for t, n in children.items() if n == 0}
         if expected_tips != tips:
             problems.append(
@@ -316,7 +318,8 @@ class Tangle:
     def load(cls, path, rng_seed: int = 0) -> "Tangle":
         """Load a snapshot and re-verify every invariant.
 
-        Raises :class:`IntegrityError` on any malformed or tampered record.
+        Raises :class:`IntegrityError` on any malformed or tampered record;
+        its ``problems`` name each fault ``verify`` finds once.
         """
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -335,43 +338,32 @@ class Tangle:
         if not isinstance(records, list):
             raise IntegrityError("snapshot has no transaction list")
 
-        # one pass in snapshot order builds the store, the address index and
-        # the tips, each as ``append`` does, so the tips keep a live tangle's
-        # order; ``verify`` then rejects a snapshot out of append order
+        # one pass in snapshot order attaches each record as ``append`` does,
+        # so the tips keep a live tangle's order; ``verify`` then rejects a
+        # snapshot out of append order
         tangle = cls.__new__(cls)
-        tangle._lock = threading.RLock()
-        tangle._rng = random.Random(rng_seed)
-        tangle.genesis = genesis
-        txs = tangle.transactions = {}
-        tips = tangle._tips = {}
-        by_address = tangle._by_address = {}
+        tangle._start(genesis, rng_seed)
+        txs = tangle.transactions
         fromhex, b64decode = bytes.fromhex, binascii.a2b_base64
-        max_time = 0
         for rec in records:
             try:
-                tid = fromhex(rec["id"])
-                parents = (fromhex(rec["parents"][0]),
-                           fromhex(rec["parents"][1]))
+                parents, time = rec["parents"], rec["logical_time"]
+                if type(parents) is not list or type(time) is not int:
+                    raise TypeError("parents must be a list, time an int")
+                p0, p1 = parents
                 address = rec["channel_address"]
-                tx = Transaction(tid, parents, b64decode(rec["payload"]),
-                                 fromhex(address) if address else None,
-                                 int(rec["logical_time"]))
-            except (KeyError, ValueError, IndexError, TypeError) as exc:
+                tx = Transaction(fromhex(rec["id"]), (fromhex(p0), fromhex(p1)),
+                                 b64decode(rec["payload"], strict_mode=True),
+                                 None if address is None else fromhex(address),
+                                 time)
+            except (KeyError, ValueError, TypeError) as exc:
                 raise IntegrityError(f"malformed snapshot record: {rec!r}") from exc
-            if tid in txs:
-                raise IntegrityError(f"duplicate transaction id {tid.hex()[:16]}")
-            txs[tid] = tx
-            max_time = max(max_time, tx.logical_time)
-            if tid != genesis:
-                for p in parents:
-                    tips.pop(p, None)
-            tips[tid] = None
-            if tx.channel_address is not None:
-                by_address.setdefault(tx.channel_address, []).append(tid)
-        tangle._next_time = max_time + 1
+            if tx.id in txs:
+                raise IntegrityError(f"duplicate transaction id {tx.id.hex()[:16]}")
+            tangle._attach(tx)
         problems = tangle.verify()
         if problems:
-            raise IntegrityError("; ".join(problems))
+            raise IntegrityError(*problems)
         return tangle
 
 
@@ -384,7 +376,7 @@ def _chain_partition(addresses: set[bytes]) -> list[list[bytes]]:
     succ = {}
     has_pred = set()
     for a in addresses:
-        nxt = crypto.digest(_CHAIN_DOMAIN, a)
+        nxt = _next_address(a)
         if nxt in addresses:
             succ[a] = nxt
             has_pred.add(nxt)

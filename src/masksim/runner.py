@@ -44,7 +44,8 @@ from .bus import Gateway, MessageBus, decode_bridge_record
 from .controller import ComplianceController
 from .epidemic import EpidemicSeries, World, advance, sample_mask_bits
 from .escrow import EscrowBank, micro_to_str, replay_records
-from .ledger import ChannelMode, ChannelReader, MamChannel, Tangle, mam_fetch
+from .ledger import (ChannelMode, ChannelReader, IntegrityError, MamChannel,
+                     Tangle, mam_fetch)
 from .positioning import (distance, multilaterate, simulate_exchange,
                           time_of_flight)
 from .sensing import (DetectorConfig, GasSample, MaskDetector, decode_status,
@@ -427,10 +428,9 @@ def run_hil_replay(config: ScenarioConfig, replay_path,
 # =============================================================================
 
 def inspect_snapshot(path) -> tuple[dict, list[str]]:
-    """Verify a ledger snapshot; returns (statistics, problems)."""
-    from .ledger import IntegrityError
+    """Load and verify a ledger snapshot; returns (statistics, problems),
+    one problem per fault."""
     try:
-        tangle = Tangle.load(path)
+        return Tangle.load(path).stats(), []
     except IntegrityError as exc:
-        return {}, [str(exc)]
-    return tangle.stats(), tangle.verify()
+        return {}, exc.problems

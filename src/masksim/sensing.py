@@ -9,8 +9,9 @@ AND rule), else 0.  The bit at each emission depends only on the window
 contents, never on the previous bit.
 
 ``synth_stream`` fabricates sample streams from a wear schedule and stands
-in for the physical sensor; ``publish_status`` pushes a detection onto the
-bus, from where the gateway bridges it to the agent's ledger channel.
+in for the physical sensor.  A detection goes onto the bus as a status record
+on ``status_topic(agent)``, from where the gateway bridges it to the agent's
+ledger channel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from enum import Enum
 
 import numpy as np
 
-from .bus import Gateway, MessageBus
 # re-exported: callers import the status record's codec from here
 from .records import decode_status, encode_status
 
@@ -127,26 +127,5 @@ def synth_stream(schedule: list[tuple[int, bool]],
     return samples
 
 
-# =============================================================================
-# Status publishing (detector -> bus -> gateway -> ledger)
-# =============================================================================
-
 def status_topic(agent_id: str) -> str:
     return f"mask/{agent_id}/status"
-
-
-def publish_status(bus: MessageBus, gateway: Gateway, agent_id: str, step: int,
-                   m: int, position: tuple[float, float] | None = None) -> bytes:
-    """Publish one detection and bridge it to the ledger; returns the tx id.
-
-    One detection maps to exactly one bus message and one ledger record.
-    """
-    topic = status_topic(agent_id)
-    seq = bus.publish(topic, encode_status(agent_id, step, m, position),
-                      publisher_id=agent_id)
-    gateway.pump()
-    tx_id = gateway.tx_for(agent_id, topic, seq)
-    if tx_id is None:
-        raise RuntimeError(
-            f"status of {agent_id} step {step} was not bridged to the ledger")
-    return tx_id

@@ -5,14 +5,17 @@ import hashlib
 import json
 import random
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masksim import crypto
 from masksim.ledger import (ChannelKeyError, ChannelMode, ChannelReader,
-                            IntegrityError, MamChannel, PayloadTooLarge,
-                            Tangle, channel_address, mam_fetch,
-                            transaction_id, ZERO32)
+                            IntegrityError, MAX_PAYLOAD, MamChannel,
+                            PayloadTooLarge, Tangle, channel_address,
+                            mam_fetch, transaction_id, ZERO32)
 
 
 def test_fresh_tangle_has_only_genesis():
@@ -362,28 +365,45 @@ def _id(i):
     return lambda doc: doc["transactions"][i]["id"]
 
 
-# transactions: genesis, a (genesis, genesis), b (a, a), c (b, a)
+def _malformed(edit):
+    return edit, ["malformed snapshot record"]
+
+
+# transactions: genesis, a (genesis, genesis), b (a, a), c (b, a); each
+# expectation lists the faults ``load`` reports, one line each, in order
 @pytest.mark.parametrize("edit,faults", [
     (_set(("transactions", 2, "payload"), "Qg=="), ["content hash mismatch"]),
     (_set(("transactions", 3, "payload"),
-          base64.b64encode(bytes(4097)).decode()), ["oversize payload"]),
+          base64.b64encode(bytes(4097)).decode()),
+     ["content hash mismatch", "oversize payload"]),
     (_set(("transactions", 3, "parents", 1), "ab" * 32),
-     ["unresolvable parent", "cannot reach genesis"]),
+     ["content hash mismatch", "unresolvable parent"]),
     (_set(("transactions", 3, "parents", 1), _id(3)),
-     ["references itself", "cannot reach genesis"]),
-    (_swap_times, ["does not postdate parent"]),
+     ["content hash mismatch", "does not postdate parent",
+      "tip set inconsistent"]),
+    (_swap_times, ["logical-time order", "does not postdate parent"]),
     (_set(("transactions", 3, "logical_time"), 2),
      ["logical-time order", "does not postdate parent"]),
     (lambda doc: doc["transactions"].insert(2, doc["transactions"].pop(3)),
-     ["logical-time order", "cannot reach genesis"]),
+     ["logical-time order", "tip set inconsistent"]),
     (_set(("transactions", 0, "parents", 0), _id(1)),
      ["genesis does not reference itself twice"]),
     (_set(("genesis",), "cd" * 32), ["missing from store"]),
     (lambda doc: doc["transactions"].append(dict(doc["transactions"][3])),
      ["duplicate transaction id"]),
+    _malformed(lambda doc: doc["transactions"][2]["parents"].append(_id(1)(doc))),
+    _malformed(_set(("transactions", 2, "logical_time"), "2")),
+    _malformed(_set(("transactions", 1, "logical_time"), True)),
+    _malformed(_set(("transactions", 2, "logical_time"), 2.5)),
+    (_set(("transactions", 1, "channel_address"), ""),
+     ["content hash mismatch"]),
+    _malformed(_set(("transactions", 1, "payload"), "YQ==YQ==")),
+    _malformed(_set(("transactions", 1, "payload"), "Y!Q==")),
 ], ids=["payload", "oversize", "unknown-parent", "self-reference",
         "parent-not-earlier", "duplicate-time", "reordered",
-        "genesis-parents", "genesis-missing", "duplicate-id"])
+        "genesis-parents", "genesis-missing", "duplicate-id",
+        "three-parents", "string-time", "bool-time", "float-time",
+        "empty-address", "trailing-base64", "non-base64-char"])
 def test_load_reports_each_fault(tmp_path, edit, faults):
     t = Tangle()
     a = t.append(b"a")
@@ -396,8 +416,11 @@ def test_load_reports_each_fault(tmp_path, edit, faults):
     path.write_text(json.dumps(doc))
     with pytest.raises(IntegrityError) as info:
         Tangle.load(path)
-    for fault in faults:
-        assert fault in str(info.value)
+    problems = info.value.problems
+    assert len(problems) == len(faults), problems
+    for fault, problem in zip(faults, problems):
+        assert fault in problem
+    assert str(info.value) == "; ".join(problems)
 
 
 def test_verify_reports_in_memory_faults():
@@ -406,9 +429,139 @@ def test_verify_reports_in_memory_faults():
     b = t.append(b"b", parents=(a, a))
     t._tips.pop(b)
     assert t.verify() == ["tip set inconsistent: tracked 0, actual 1"]
-    t._tips[b] = None
-    t.transactions[b] = t.transactions[b]._replace(parents=(a, a, a))
-    assert t.verify() == [f"{b.hex()[:16]} does not have 2 parents"]
+
+
+def verify_oracle(t: Tangle) -> list[str]:
+    """Reference for ``Tangle.verify``: the same checks, plus a walk of which
+    transactions reach genesis, a self-reference check and a parent-count
+    check, all of which the two ordering rules and ``load`` make redundant."""
+    problems: list[str] = []
+    unreachable: list[bytes] = []
+    txs = t.transactions
+    genesis = t.genesis
+    g = txs.get(genesis)
+    if g is None:
+        return [f"genesis {genesis.hex()} missing from store"]
+    if g.parents != (genesis, genesis):
+        problems.append("genesis does not reference itself twice")
+
+    children = dict.fromkeys(txs, 0)
+    reaches: set[bytes] = set()     # every ancestor path ends at genesis
+    last_time = -1
+    for tid, tx in txs.items():
+        is_genesis = tid == genesis
+        effective = (ZERO32, ZERO32) if is_genesis else tx.parents
+        if transaction_id(effective, tx.payload,
+                          tx.channel_address) != tid:
+            problems.append(f"content hash mismatch on {tid.hex()[:16]}")
+        if len(tx.payload) > MAX_PAYLOAD:
+            problems.append(f"oversize payload on {tid.hex()[:16]}")
+        if len(tx.parents) != 2:
+            problems.append(f"{tid.hex()[:16]} does not have 2 parents")
+        if tx.logical_time <= last_time:
+            problems.append(
+                f"{tid.hex()[:16]} is stored out of logical-time order "
+                f"({tx.logical_time} after {last_time})")
+        last_time = tx.logical_time
+        if is_genesis:
+            reaches.add(tid)
+            continue
+        if tid in tx.parents:
+            problems.append(f"{tid.hex()[:16]} references itself")
+        reached = True
+        for p in tx.parents:
+            parent = txs.get(p)
+            if parent is None:
+                problems.append(f"{tid.hex()[:16]} has unresolvable "
+                                f"parent {p.hex()[:16]}")
+                reached = False
+                continue
+            children[p] += 1
+            if parent.logical_time >= tx.logical_time:
+                problems.append(f"{tid.hex()[:16]} does not postdate "
+                                f"parent {p.hex()[:16]}")
+            reached = reached and p in reaches
+        if reached:
+            reaches.add(tid)
+        else:
+            unreachable.append(tid)
+    tips = set(t._tips)
+
+    # the walk meets parents first, so a transaction reaches genesis iff
+    # its parents already did; this catches a disconnected second root
+    problems.extend(f"{u.hex()[:16]} cannot reach genesis"
+                    for u in unreachable)
+    expected_tips = {u for u, n in children.items() if n == 0}
+    if expected_tips != tips:
+        problems.append(
+            f"tip set inconsistent: tracked {len(tips)}, actual {len(expected_tips)}")
+    return problems
+
+
+def _snapshot_edit(n):
+    """One edit to a snapshot of ``n`` records: re-parent a record to an
+    existing or an unknown id (optionally re-hashing its own id, so only the
+    structure can show the fault), swap or move two records, or set a
+    logical time."""
+    index = st.integers(0, n - 1)
+    return st.one_of(
+        st.tuples(st.just("reparent"), index, st.integers(0, 1),
+                  st.one_of(st.none(), index), st.booleans()),
+        st.tuples(st.just("swap"), index, index),
+        st.tuples(st.just("move"), index, index),
+        st.tuples(st.just("time"), index, st.integers(-1, n + 1)))
+
+
+def _apply_edit(records, edit):
+    kind, i, *args = edit
+    if kind == "reparent":
+        slot, target, rehash = args
+        rec = records[i]
+        rec["parents"][slot] = ("ab" * 32 if target is None
+                                else records[target]["id"])
+        if rehash:
+            address = rec["channel_address"]
+            rec["id"] = transaction_id(
+                tuple(bytes.fromhex(p) for p in rec["parents"]),
+                base64.b64decode(rec["payload"]),
+                None if address is None else bytes.fromhex(address)).hex()
+    elif kind == "swap":
+        j = args[0]
+        records[i], records[j] = records[j], records[i]
+    elif kind == "move":
+        records.insert(args[0], records.pop(i))
+    else:
+        records[i]["logical_time"] = args[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**16), kinds=st.lists(st.booleans(), min_size=1,
+                                                 max_size=10),
+       data=st.data())
+def test_verify_agrees_with_reachability_oracle(tmp_path_factory, seed, kinds,
+                                                data):
+    t = Tangle(rng_seed=seed)
+    channel = MamChannel(ChannelMode.PUBLIC, bytes(32))
+    for i, on_channel in enumerate(kinds):
+        if on_channel:
+            channel.publish(t, f"m{i}".encode())
+        else:
+            t.append(f"x{i}".encode())
+    path = tmp_path_factory.mktemp("oracle") / "ledger.json"
+    t.save(path)
+    doc = json.loads(path.read_text())
+    n = len(doc["transactions"])
+    for edit in data.draw(st.lists(_snapshot_edit(n), min_size=1, max_size=3)):
+        _apply_edit(doc["transactions"], edit)
+    path.write_text(json.dumps(doc))
+    with mock.patch.object(Tangle, "verify", lambda self: []):
+        loaded = Tangle.load(path)
+
+    problems, oracle = loaded.verify(), verify_oracle(loaded)
+    assert bool(problems) == bool(oracle)
+    assert set(problems) <= set(oracle)
+    assert len(set(problems)) == len(problems)      # each fault once
+    assert not any("cannot reach genesis" in p for p in problems)
 
 
 @pytest.mark.parametrize("parts", [

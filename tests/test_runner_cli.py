@@ -11,7 +11,7 @@ from masksim import cli
 from masksim.bus import Gateway
 from masksim.cli import main
 from masksim.escrow import EscrowBank, PenaltyPolicy, replay_records
-from masksim.ledger import mam_fetch
+from masksim.ledger import Tangle, mam_fetch
 from masksim.records import decode_status
 from masksim.runner import (agent_ids, detector_bits, escrow_channel,
                             read_replay_csv, run_hil_replay, run_scenario)
@@ -459,6 +459,23 @@ def test_cli_ledger_inspect_malformed_snapshot_exit_3(tmp_path, capsys, doc):
     assert main(["ledger", "inspect", str(path)]) == 3
     err = capsys.readouterr().err
     assert "VIOLATION" in err and "Traceback" not in err
+
+
+def test_cli_ledger_inspect_prints_one_violation_per_fault(tmp_path, capsys):
+    t = Tangle()
+    t.append(b"a")
+    t.append(b"b")
+    path = tmp_path / "ledger.json"
+    t.save(path)
+    doc = json.loads(path.read_text())
+    doc["transactions"][2]["parents"][0] = "ab" * 32
+    path.write_text(json.dumps(doc))
+    assert main(["ledger", "inspect", str(path)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(
+        line.startswith("VIOLATION: ") and ";" not in line for line in lines)
+    assert "content hash mismatch" in lines[0]
+    assert "unresolvable parent" in lines[1]
 
 
 def test_cli_dropped_escrow_bundle_exit_3(tmp_path, capsys, monkeypatch):

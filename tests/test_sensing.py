@@ -7,7 +7,7 @@ from masksim.bus import Gateway, MessageBus
 from masksim.ledger import ChannelMode, MamChannel, Tangle, mam_fetch
 from masksim.sensing import (CombineRule, DetectorConfig, GasSample,
                              MaskDetector, StreamLevels, decode_status,
-                             publish_status, status_topic, synth_stream)
+                             encode_status, status_topic, synth_stream)
 from masksim.bus import decode_bridge_record
 
 
@@ -170,9 +170,18 @@ def _pipeline(agent_id="a1"):
     return tangle, bus, channel, gw
 
 
+def publish(bus, gw, agent_id, step, m, position):
+    """One detection onto the bus, then the bus onto the ledger, as the
+    runner does it; returns the transaction ids the gateway appended."""
+    bus.publish(status_topic(agent_id),
+                encode_status(agent_id, step, m, position),
+                publisher_id=agent_id)
+    return gw.pump()
+
+
 def test_one_detection_one_bus_message_one_ledger_tx():
     tangle, bus, channel, gw = _pipeline()
-    tx = publish_status(bus, gw, "a1", step=3, m=1, position=(1.25, 2.5))
+    [tx] = publish(bus, gw, "a1", step=3, m=1, position=(1.25, 2.5))
     assert tx in tangle.transactions
     assert gw.bridged == 1
     bodies = mam_fetch(tangle, channel.base_address, ChannelMode.RESTRICTED,
@@ -183,8 +192,8 @@ def test_one_detection_one_bus_message_one_ledger_tx():
 def test_hundred_detections_ordered_and_bit_exact():
     tangle, bus, channel, gw = _pipeline()
     for step in range(1, 101):
-        publish_status(bus, gw, "a1", step=step, m=step % 2,
-                       position=(0.1 * step, 0.2 * step))
+        publish(bus, gw, "a1", step=step, m=step % 2,
+                position=(0.1 * step, 0.2 * step))
     bodies = mam_fetch(tangle, channel.base_address, ChannelMode.RESTRICTED,
                        b"agent-key")
     assert len(bodies) == 100
