@@ -46,7 +46,7 @@ print(f"replayed agent:         {wearer} (mask worn for the whole capture)")
 print(f"steps run:              {result.summary.steps} "
       f"(limited by replay length)")
 print(f"entry bond:             2.000000 tokens (fixed-penalty policy)")
-print(f"final wallet balance:   {bank.wallets[wearer].balance:.6f} "
+print(f"final wallet balance:   {bank.balances.wallets[wearer] / 1e6:.6f} "
       f"of 50.000000")
 
 moves = [t for t in bank.transfers if t.agent_id == wearer]
@@ -56,7 +56,7 @@ for t in moves:
 
 others = [a for a in agent_ids(config.world.n_agents) if a != wearer]
 lost = sum(1 for a in others
-           if bank.wallets[a].balance < config.escrow.initial_balance)
+           if bank.balances.wallets[a] / 1e6 < config.escrow.initial_balance)
 print(f"\nsimulated agents who lost tokens to violations: "
       f"{lost}/{len(others)}")
 print(f"time-avg compliance across the crowd: "

@@ -11,7 +11,7 @@ from .bus import Gateway, MessageBus
 from .controller import (ComplianceController, ControllerParams, LOGISTIC,
                          MonotoneLink, simulate_compliance)
 from .epidemic import EpidemicSeries, Health, World, WorldConfig
-from .escrow import Bond, BondState, EscrowBank, PenaltyPolicy, Wallet
+from .escrow import EscrowBank, PenaltyPolicy
 from .ledger import (ChannelMode, ChannelReader, MamChannel, Tangle,
                      channel_address, mam_fetch)
 from .positioning import (Anchor, FixResult, TwrTimestamps, distance,
@@ -22,13 +22,12 @@ from .sensing import (CombineRule, DetectorConfig, GasSample, MaskDetector,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Anchor", "Bond", "BondState", "ChannelMode", "ChannelReader",
-    "CombineRule", "ComplianceController", "ControllerParams",
-    "DetectorConfig", "EpidemicSeries", "EscrowBank", "FixResult",
-    "GasSample", "Gateway", "Health", "LOGISTIC", "MamChannel",
-    "MaskDetector", "MessageBus", "MonotoneLink", "PenaltyPolicy",
-    "StreamLevels", "Tangle", "TwrTimestamps", "Wallet", "World",
-    "WorldConfig", "channel_address", "distance", "mam_fetch",
-    "multilaterate", "simulate_compliance", "simulate_exchange",
+    "Anchor", "ChannelMode", "ChannelReader", "CombineRule",
+    "ComplianceController", "ControllerParams", "DetectorConfig",
+    "EpidemicSeries", "EscrowBank", "FixResult", "GasSample", "Gateway",
+    "Health", "LOGISTIC", "MamChannel", "MaskDetector", "MessageBus",
+    "MonotoneLink", "PenaltyPolicy", "StreamLevels", "Tangle",
+    "TwrTimestamps", "World", "WorldConfig", "channel_address", "distance",
+    "mam_fetch", "multilaterate", "simulate_compliance", "simulate_exchange",
     "synth_stream", "time_of_flight",
 ]

@@ -31,8 +31,12 @@ before a step's mask bits are drawn, ``settle`` after the controller step,
 on the same ledger read the controller acted on, and ``close`` at exit.
 Which per-agent rule applies is decided here alone.
 
-When a ledger channel is attached, every executed transfer is mirrored to
-it, so replaying the channel reconstructs all balances.  Transfers are
+The bank's balances are the fold of its own transfer records: every
+record, opening balances included, moves tokens through :func:`apply` and
+nothing else, and :func:`replay_records` folds the same records, read back
+from the ledger, with the same function.  When a ledger channel is
+attached, every record is mirrored to it, so a replay that disagrees with
+the bank means records were lost, altered or reordered.  Transfers are
 buffered and published as bundles (in the spirit of IOTA bundles): each
 :meth:`EscrowBank.commit` packs the buffered records, in order, into as
 few channel messages as fit one transaction.  A bundle is the binary
@@ -82,31 +86,6 @@ class PenaltyPolicy(Enum):
     EVENT_DRIVEN = "event_driven"
 
 
-class BondState(Enum):
-    ACTIVE = "active"
-    REFUNDED = "refunded"
-    FORFEITED = "forfeited"
-
-
-@dataclass
-class Wallet:
-    agent_id: str
-    balance_micro: int
-
-    @property
-    def balance(self) -> float:
-        return self.balance_micro / MICRO_PER_TOKEN
-
-
-@dataclass
-class Bond:
-    """One agent's escrow slot; re-deposits reactivate the same slot."""
-    agent_id: str
-    amount_micro: int = 0
-    state: BondState = BondState.REFUNDED
-    forfeited_micro: int = 0   # cumulative, drawn down by partial returns
-
-
 @dataclass(frozen=True)
 class Transfer:
     step: int
@@ -124,6 +103,45 @@ class ExclusionEvent:
     available_micro: int
 
 
+@dataclass
+class Balances:
+    """Every wallet, every active bond and the forfeited pool, in
+    micro-tokens: the bank's state, and what a replay of its escrow channel
+    rebuilds.  :func:`apply` alone moves tokens between them."""
+    wallets: dict[str, int] = field(default_factory=dict)
+    active_bonds: dict[str, int] = field(default_factory=dict)
+    forfeited_pool: int = 0
+
+    def total(self) -> int:
+        return (sum(self.wallets.values()) + sum(self.active_bonds.values())
+                + self.forfeited_pool)
+
+
+def apply(balances: Balances, agent: str, kind: str, amount: int) -> None:
+    """Move ``amount`` micro-tokens of ``agent`` as a transfer of ``kind``
+    moves them.  The bank and a ledger replay both call this, so the two
+    cannot disagree on what a transfer does.  Raises ``ValueError`` for a
+    transfer of an agent with no ``init`` before it."""
+    wallets = balances.wallets
+    if kind == "init":
+        wallets[agent] = wallets.get(agent, 0) + amount
+        return
+    if agent not in wallets:
+        raise ValueError(f"escrow {kind} for {agent!r} before its init")
+    if kind == "deposit":
+        wallets[agent] -= amount
+        balances.active_bonds[agent] = amount
+    elif kind == "refund":
+        wallets[agent] += amount
+        balances.active_bonds.pop(agent, None)
+    elif kind == "forfeit":
+        balances.forfeited_pool += amount
+        balances.active_bonds.pop(agent, None)
+    else:                       # partial_return
+        balances.forfeited_pool -= amount
+        wallets[agent] += amount
+
+
 class EscrowBank:
     """All wallets and bonds of one run, plus the forfeited pool.
 
@@ -139,31 +157,30 @@ class EscrowBank:
             raise ValueError("rho must lie in [0, 1]")
         self.policy = policy
         self.rho = rho
-        self.wallets = {a: Wallet(a, to_micro(b))
-                        for a, b in initial_balances.items()}
-        self.bonds = {a: Bond(a) for a in self.wallets}
-        self.forfeited_pool_micro = 0
+        self.balances = Balances()
+        # cumulative forfeitures per agent, drawn down by partial returns
+        self.forfeited = dict.fromkeys(initial_balances, 0)
         self.transfers: list[Transfer] = []
         self.exclusions: list[ExclusionEvent] = []
-        self.initial_total_micro = sum(w.balance_micro
-                                       for w in self.wallets.values())
         self._tangle = tangle
         self._channel = channel
         self._pending: list[tuple] = []     # records not yet on the ledger
         self._violators: set[str] = set()   # fixed penalty: not refunded at exit
-        for agent, wallet in self.wallets.items():
-            self._buffer(0, agent, "init", wallet.balance_micro)
+        for agent, tokens in initial_balances.items():
+            self._record(0, agent, "init", to_micro(tokens))
+        self.initial_total_micro = self.balances.total()
         self.commit()
 
-    # -- ledger mirroring -------------------------------------------------
-
-    def _buffer(self, step: int, agent: str, kind: str, amount_micro: int) -> None:
-        if self._channel is not None and self._tangle is not None:
-            self._pending.append((step, agent, kind, amount_micro))
+    # -- records: balances, transfer log, ledger ---------------------------
 
     def _record(self, step: int, agent: str, kind: str, amount_micro: int) -> None:
-        self.transfers.append(Transfer(step, agent, kind, amount_micro))
-        self._buffer(step, agent, kind, amount_micro)
+        """Apply one record to the balances, log it as a transfer (an
+        ``init`` is not one) and buffer it for the ledger."""
+        apply(self.balances, agent, kind, amount_micro)
+        if kind != "init":
+            self.transfers.append(Transfer(step, agent, kind, amount_micro))
+        if self._channel is not None and self._tangle is not None:
+            self._pending.append((step, agent, kind, amount_micro))
 
     def commit(self) -> None:
         """Publish the buffered records, in order, packed greedily into as
@@ -177,6 +194,9 @@ class EscrowBank:
             self._channel.publish(self._tangle, payload)
 
     # -- the policy, one step at a time ------------------------------------
+    #
+    # Agents go in wallet order, which is bank order.  The active bonds are
+    # in re-deposit order, so iterating them would reorder the transfers.
 
     def enter(self, stakes: np.ndarray, step: int) -> None:
         """Stake a bond at the controller's price (``stakes`` in bank order)
@@ -185,9 +205,10 @@ class EscrowBank:
         there is no re-entry mid-run."""
         if self.policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
             return
-        for (agent, bond), stake in zip(self.bonds.items(), stakes.tolist(),
-                                        strict=True):
-            if bond.state is not BondState.ACTIVE:
+        active = self.balances.active_bonds
+        for agent, stake in zip(self.balances.wallets, stakes.tolist(),
+                                strict=True):
+            if agent not in active:
                 self.deposit(agent, stake, step)
 
     def settle(self, bits: np.ndarray, present: np.ndarray,
@@ -198,17 +219,18 @@ class EscrowBank:
         A fixed-penalty bond is held until :meth:`close`; a violation is only
         noted.  An agent with no record holds its bond: no settlement, and
         no fixed-penalty violation."""
-        records = zip(self.bonds.items(), bits.tolist(), present.tolist(),
+        records = zip(self.balances.wallets, bits.tolist(), present.tolist(),
                       next_stakes.tolist(), strict=True)
         if self.policy is PenaltyPolicy.FIXED_PENALTY:
-            self._violators.update(agent for (agent, _), m, got, _ in records
+            self._violators.update(agent for agent, m, got, _ in records
                                    if got and not m)
         else:
             settle_one = (self.settle_event
                           if self.policy is PenaltyPolicy.EVENT_DRIVEN
                           else self.settle_step)
-            for (agent, bond), m, got, stake in records:
-                if got and bond.state is BondState.ACTIVE:
+            active = self.balances.active_bonds
+            for agent, m, got, stake in records:
+                if got and agent in active:
                     settle_one(agent, m, stake, step)
         self.commit()
 
@@ -218,8 +240,9 @@ class EscrowBank:
         policies bonds settle every step and there is nothing to close."""
         if self.policy is not PenaltyPolicy.FIXED_PENALTY:
             return
-        for agent, bond in self.bonds.items():
-            if bond.state is BondState.ACTIVE:
+        active = self.balances.active_bonds
+        for agent in self.balances.wallets:
+            if agent in active:
                 self.settle_exit(agent, agent not in self._violators, step)
         self.commit()
 
@@ -228,18 +251,14 @@ class EscrowBank:
     def deposit(self, agent_id: str, amount_tokens: float, step: int) -> bool:
         """Stake a bond; returns False (and logs an exclusion) if the wallet
         cannot cover it."""
-        wallet = self.wallets[agent_id]
-        bond = self.bonds[agent_id]
-        if bond.state is BondState.ACTIVE:
+        if agent_id in self.balances.active_bonds:
             raise EscrowFault(f"agent {agent_id} already has an active bond")
         amount = to_micro(amount_tokens)
-        if wallet.balance_micro < amount:
+        available = self.balances.wallets[agent_id]
+        if available < amount:
             self.exclusions.append(
-                ExclusionEvent(step, agent_id, amount, wallet.balance_micro))
+                ExclusionEvent(step, agent_id, amount, available))
             return False
-        wallet.balance_micro -= amount
-        bond.amount_micro = amount
-        bond.state = BondState.ACTIVE
         self._record(step, agent_id, "deposit", amount)
         return True
 
@@ -253,20 +272,19 @@ class EscrowBank:
         if self.policy not in (PenaltyPolicy.ADAPTIVE,
                                PenaltyPolicy.ADAPTIVE_WITH_RETURN):
             raise EscrowFault(f"settle_step does not apply to {self.policy.value}")
-        bond = self._active_bond(agent_id)
+        amount = self._active_bond(agent_id)
         if m:
-            self._refund(bond, step)
+            self._record(step, agent_id, "refund", amount)
+            forfeited = self.forfeited[agent_id]
             if (self.policy is PenaltyPolicy.ADAPTIVE_WITH_RETURN
-                    and bond.forfeited_micro > 0):
-                returned = int((Decimal(str(self.rho)) * bond.forfeited_micro)
+                    and forfeited > 0):
+                returned = int((Decimal(str(self.rho)) * forfeited)
                                .quantize(Decimal(1), rounding=ROUND_HALF_EVEN))
                 if returned > 0:
-                    self.forfeited_pool_micro -= returned
-                    bond.forfeited_micro -= returned
-                    self.wallets[agent_id].balance_micro += returned
+                    self.forfeited[agent_id] -= returned
                     self._record(step, agent_id, "partial_return", returned)
         else:
-            self._forfeit(bond, step)
+            self._forfeit(agent_id, amount, step)
         return self.deposit(agent_id, next_stake_tokens, step)
 
     def settle_event(self, agent_id: str, m: int, required_tokens: float,
@@ -275,66 +293,46 @@ class EscrowBank:
         in the scheme needs a fresh deposit at the current price."""
         if self.policy is not PenaltyPolicy.EVENT_DRIVEN:
             raise EscrowFault(f"settle_event does not apply to {self.policy.value}")
-        bond = self._active_bond(agent_id)
+        amount = self._active_bond(agent_id)
         if m:
             return True
-        self._forfeit(bond, step)
+        self._forfeit(agent_id, amount, step)
         return self.deposit(agent_id, required_tokens, step)
 
     def settle_exit(self, agent_id: str, fully_compliant: bool, step: int) -> None:
         """Fixed-penalty settlement at exit: all back or nothing back."""
         if self.policy is not PenaltyPolicy.FIXED_PENALTY:
             raise EscrowFault(f"settle_exit does not apply to {self.policy.value}")
-        bond = self._active_bond(agent_id)
+        amount = self._active_bond(agent_id)
         if fully_compliant:
-            self._refund(bond, step)
+            self._record(step, agent_id, "refund", amount)
         else:
-            self._forfeit(bond, step)
+            self._forfeit(agent_id, amount, step)
 
-    def _refund(self, bond: Bond, step: int) -> None:
-        """The bond goes back to its owner's wallet."""
-        self.wallets[bond.agent_id].balance_micro += bond.amount_micro
-        bond.state = BondState.REFUNDED
-        self._record(step, bond.agent_id, "refund", bond.amount_micro)
-
-    def _forfeit(self, bond: Bond, step: int) -> None:
+    def _forfeit(self, agent_id: str, amount: int, step: int) -> None:
         """The bond goes to the forfeited pool and counts towards the
         owner's cumulative forfeitures."""
-        self.forfeited_pool_micro += bond.amount_micro
-        bond.forfeited_micro += bond.amount_micro
-        bond.state = BondState.FORFEITED
-        self._record(step, bond.agent_id, "forfeit", bond.amount_micro)
+        self.forfeited[agent_id] += amount
+        self._record(step, agent_id, "forfeit", amount)
 
-    def _active_bond(self, agent_id: str) -> Bond:
-        bond = self.bonds[agent_id]
-        if bond.state is not BondState.ACTIVE:
-            raise EscrowFault(
-                f"bond of {agent_id} is {bond.state.value}, not active")
-        return bond
+    def _active_bond(self, agent_id: str) -> int:
+        """The amount of the agent's active bond."""
+        try:
+            return self.balances.active_bonds[agent_id]
+        except KeyError:
+            raise EscrowFault(f"agent {agent_id} has no active bond") from None
 
     # -- invariants and reporting ------------------------------------------
 
-    def balances(self) -> ReplayedState:
-        """The bank's balances in the form a ledger replay gives them."""
-        return ReplayedState(
-            {a: w.balance_micro for a, w in self.wallets.items()},
-            {a: b.amount_micro for a, b in self.bonds.items()
-             if b.state is BondState.ACTIVE},
-            self.forfeited_pool_micro)
-
-    def total_micro(self) -> int:
-        return self.balances().total()
-
     def conservation_ok(self) -> bool:
-        return self.total_micro() == self.initial_total_micro
+        return self.balances.total() == self.initial_total_micro
 
-    def replay_mismatch(self, replayed: ReplayedState) -> str | None:
+    def replay_mismatch(self, replayed: Balances) -> str | None:
         """What a replay of the escrow channel disagrees with the bank on:
         ``"wallets"``, ``"active bonds"`` or ``"forfeited pool"``; ``None``
         when they agree."""
-        mine = self.balances()
         for what in ("wallets", "active_bonds", "forfeited_pool"):
-            if getattr(replayed, what) != getattr(mine, what):
+            if getattr(replayed, what) != getattr(self.balances, what):
                 return what.replace("_", " ")
         return None
 
@@ -352,49 +350,11 @@ class EscrowBank:
                          f"{micro_to_str(t.amount_micro)}\n")
 
 
-# =============================================================================
-# Ledger replay (audit)
-# =============================================================================
-
-@dataclass
-class ReplayedState:
-    wallets: dict[str, int] = field(default_factory=dict)
-    active_bonds: dict[str, int] = field(default_factory=dict)
-    forfeited_pool: int = 0
-
-    def total(self) -> int:
-        return (sum(self.wallets.values()) + sum(self.active_bonds.values())
-                + self.forfeited_pool)
-
-
-def decode_records(payloads: list[bytes]) -> list[Transfer]:
-    """All transfers (and ``init`` records) of raw escrow channel payloads,
-    in order.  Raises ``ValueError`` on anything but an escrow bundle."""
-    return [Transfer(*t) for payload in payloads
-            for t in decode_bundle(payload)]
-
-
-def replay_records(payloads: list[bytes]) -> ReplayedState:
-    """Rebuild balances from raw escrow channel payloads, in order."""
-    state = ReplayedState()
-    wallets, bonds = state.wallets, state.active_bonds
+def replay_records(payloads: list[bytes]) -> Balances:
+    """Rebuild balances from raw escrow channel payloads, in order: the
+    fold of :func:`apply` over their records."""
+    balances = Balances()
     for payload in payloads:
         for _, agent, kind, amount in decode_bundle(payload):
-            if kind == "init":
-                wallets[agent] = wallets.get(agent, 0) + amount
-                continue
-            if agent not in wallets:
-                raise ValueError(f"escrow {kind} for {agent!r} before its init")
-            if kind == "deposit":
-                wallets[agent] -= amount
-                bonds[agent] = amount
-            elif kind == "refund":
-                wallets[agent] += amount
-                bonds.pop(agent, None)
-            elif kind == "forfeit":
-                state.forfeited_pool += amount
-                bonds.pop(agent, None)
-            else:                       # partial_return
-                state.forfeited_pool -= amount
-                wallets[agent] += amount
-    return state
+            apply(balances, agent, kind, amount)
+    return balances

@@ -329,7 +329,8 @@ class Tangle:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError: bad JSON, bad UTF-8 or an int past the digit limit
+        except (ValueError, RecursionError) as exc:
             raise IntegrityError(f"snapshot is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise IntegrityError("not a tangle snapshot")

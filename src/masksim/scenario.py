@@ -224,6 +224,7 @@ def load_scenario(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError: bad JSON, bad UTF-8 or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)

@@ -16,7 +16,7 @@ from masksim.cli import main as cli_main
 from masksim.controller import (ComplianceController, ControllerParams,
                                 simulate_compliance)
 from masksim.epidemic import WorldConfig, run
-from masksim.escrow import BondState, EscrowBank, PenaltyPolicy
+from masksim.escrow import EscrowBank, PenaltyPolicy
 from masksim.ledger import ChannelMode, MamChannel, Tangle, mam_fetch
 from masksim.positioning import (distance, multilaterate, simulate_exchange,
                                  time_of_flight)
@@ -224,20 +224,20 @@ def test_07_token_conservation():
             bits = rng.random(len(agents)) < 0.65
             for i, a in enumerate(agents):
                 m, stake = int(bits[i]), float(stakes[i])
-                if bank.bonds[a].state is not BondState.ACTIVE:
+                if a not in bank.balances.active_bonds:
                     bank.deposit(a, stake, step=k)
                 elif policy in (PenaltyPolicy.ADAPTIVE,
                                 PenaltyPolicy.ADAPTIVE_WITH_RETURN):
                     bank.settle_step(a, m, stake, step=k)
                 elif policy is PenaltyPolicy.EVENT_DRIVEN:
                     bank.settle_event(a, m, stake, step=k)
-            assert bank.total_micro() == bank.initial_total_micro, \
+            assert bank.balances.total() == bank.initial_total_micro, \
                 f"{policy.value}: conservation broken at step {k}"
         if policy is PenaltyPolicy.FIXED_PENALTY:
             for a in agents:
-                if bank.bonds[a].state is BondState.ACTIVE:
+                if a in bank.balances.active_bonds:
                     bank.settle_exit(a, bool(rng.random() < 0.5), step=1001)
-            assert bank.total_micro() == bank.initial_total_micro
+            assert bank.balances.total() == bank.initial_total_micro
 
     # rho=0 variant is bit-identical to plain adaptive
     def drive(policy, rho):
@@ -249,7 +249,7 @@ def test_07_token_conservation():
             for a in agents:
                 m = int(rng.random() < 0.6)
                 stake = float(np.round(rng.uniform(0, 3), 4))
-                if bank.bonds[a].state is BondState.ACTIVE:
+                if a in bank.balances.active_bonds:
                     bank.settle_step(a, m, stake, step=k)
                 else:
                     bank.deposit(a, stake, step=k)
@@ -258,8 +258,7 @@ def test_07_token_conservation():
     plain = drive(PenaltyPolicy.ADAPTIVE, rho=0.7)
     zero = drive(PenaltyPolicy.ADAPTIVE_WITH_RETURN, rho=0.0)
     assert plain.transfers == zero.transfers
-    assert all(plain.wallets[a].balance_micro == zero.wallets[a].balance_micro
-               for a in agents)
+    assert plain.balances.wallets == zero.balances.wallets
     report("token conservation",
            "4 policies x 1000 steps x 50 agents exact at 1e-6 granularity; "
            "rho=0 bit-identical to adaptive")

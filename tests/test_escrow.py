@@ -2,15 +2,18 @@
 
 import json
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
 
-from masksim.escrow import (BondState, EscrowBank, EscrowFault, PenaltyPolicy,
-                            Transfer, decode_records, micro_to_str,
-                            replay_records, to_micro)
+from masksim.escrow import (EscrowBank, EscrowFault, PenaltyPolicy, Transfer,
+                            micro_to_str, replay_records, to_micro)
+from masksim.records import decode_bundle, encode_bundles
 from masksim.ledger import MAX_PAYLOAD, ChannelMode, MamChannel, Tangle, mam_fetch
 
 
@@ -45,16 +48,16 @@ def test_micro_to_str_exact():
 def test_deposit_moves_balance_into_bond():
     b = bank(PenaltyPolicy.ADAPTIVE)
     assert b.deposit("a", 4.0, step=1)
-    assert b.wallets["a"].balance == 6.0
-    assert b.bonds["a"].state is BondState.ACTIVE
-    assert b.bonds["a"].amount_micro == 4_000_000
+    assert b.balances.wallets["a"] == 6_000_000
+    assert "a" in b.balances.active_bonds
+    assert b.balances.active_bonds["a"] == 4_000_000
 
 
 def test_insufficient_balance_is_exclusion_not_crash():
     b = bank(PenaltyPolicy.ADAPTIVE, {"a": 3.0})
     assert not b.deposit("a", 4.0, step=1)
-    assert b.wallets["a"].balance == 3.0
-    assert b.bonds["a"].state is BondState.REFUNDED
+    assert b.balances.wallets["a"] == 3_000_000
+    assert "a" not in b.balances.active_bonds
     assert len(b.exclusions) == 1
     assert b.exclusions[0].required_micro == 4_000_000
 
@@ -62,8 +65,8 @@ def test_insufficient_balance_is_exclusion_not_crash():
 def test_zero_deposit_is_valid_noop_stake():
     b = bank(PenaltyPolicy.ADAPTIVE)
     assert b.deposit("a", 0.0, step=1)
-    assert b.bonds["a"].state is BondState.ACTIVE
-    assert b.bonds["a"].amount_micro == 0
+    assert "a" in b.balances.active_bonds
+    assert b.balances.active_bonds["a"] == 0
 
 
 def test_double_deposit_is_state_fault():
@@ -80,9 +83,9 @@ def test_double_deposit_is_state_fault():
 def test_adaptive_compliant_step_nets_zero():
     b = bank(PenaltyPolicy.ADAPTIVE)
     b.deposit("a", 5.0, step=1)
-    before = b.wallets["a"].balance_micro
+    before = b.balances.wallets["a"]
     b.settle_step("a", m=1, next_stake_tokens=5.0, step=2)
-    assert b.wallets["a"].balance_micro == before
+    assert b.balances.wallets["a"] == before
     kinds = [t.kind for t in b.transfers]
     assert kinds == ["deposit", "refund", "deposit"]   # both legs logged
 
@@ -91,20 +94,20 @@ def test_adaptive_violation_forfeits_to_pool():
     b = bank(PenaltyPolicy.ADAPTIVE)
     b.deposit("a", 5.0, step=1)
     b.settle_step("a", m=0, next_stake_tokens=2.0, step=2)
-    assert b.forfeited_pool_micro == 5_000_000
-    assert b.wallets["a"].balance == 3.0        # 10 - 5 - 2
-    assert b.bonds["a"].amount_micro == 2_000_000
+    assert b.balances.forfeited_pool == 5_000_000
+    assert b.balances.wallets["a"] == 3_000_000        # 10 - 5 - 2
+    assert b.balances.active_bonds["a"] == 2_000_000
 
 
 def test_adaptive_with_return_partial_comeback():
     b = bank(PenaltyPolicy.ADAPTIVE_WITH_RETURN, rho=0.5)
     b.deposit("a", 5.0, step=1)
     b.settle_step("a", m=0, next_stake_tokens=5.0, step=2)   # forfeit 5
-    assert b.forfeited_pool_micro == 5_000_000
+    assert b.balances.forfeited_pool == 5_000_000
     b.settle_step("a", m=1, next_stake_tokens=5.0, step=3)   # back in line
     # rho * 5 = 2.5 returned, forfeited total drawn down to 2.5
-    assert b.forfeited_pool_micro == 2_500_000
-    assert b.bonds["a"].forfeited_micro == 2_500_000
+    assert b.balances.forfeited_pool == 2_500_000
+    assert b.forfeited["a"] == 2_500_000
     returns = [t for t in b.transfers if t.kind == "partial_return"]
     assert len(returns) == 1 and returns[0].amount_micro == 2_500_000
 
@@ -114,8 +117,8 @@ def test_return_rho_one_restores_everything_on_next_compliance():
     b.deposit("a", 4.0, step=1)
     b.settle_step("a", m=0, next_stake_tokens=4.0, step=2)
     b.settle_step("a", m=1, next_stake_tokens=4.0, step=3)
-    assert b.forfeited_pool_micro == 0
-    assert b.bonds["a"].forfeited_micro == 0
+    assert b.balances.forfeited_pool == 0
+    assert b.forfeited["a"] == 0
 
 
 def test_return_rho_zero_bit_identical_to_adaptive():
@@ -127,7 +130,7 @@ def test_return_rho_zero_bit_identical_to_adaptive():
         b = EscrowBank({"a": 50.0}, policy, rho=rho)
         b.deposit("a", stakes[0], step=0)
         for k, m in enumerate(bits, start=1):
-            if b.bonds["a"].state is BondState.ACTIVE:
+            if "a" in b.balances.active_bonds:
                 b.settle_step("a", int(m), float(stakes[k]), step=k)
             else:
                 b.deposit("a", float(stakes[k]), step=k)
@@ -136,8 +139,8 @@ def test_return_rho_zero_bit_identical_to_adaptive():
     plain = drive(PenaltyPolicy.ADAPTIVE, rho=0.5)
     zero = drive(PenaltyPolicy.ADAPTIVE_WITH_RETURN, rho=0.0)
     assert plain.transfers == zero.transfers
-    assert plain.wallets["a"].balance_micro == zero.wallets["a"].balance_micro
-    assert plain.forfeited_pool_micro == zero.forfeited_pool_micro
+    assert plain.balances == zero.balances
+    assert plain.forfeited == zero.forfeited
 
 
 def test_settle_step_requires_adaptive_policy():
@@ -161,15 +164,15 @@ def test_fixed_penalty_full_refund_when_compliant():
     b = bank(PenaltyPolicy.FIXED_PENALTY)
     b.deposit("a", 5.0, step=1)
     b.settle_exit("a", fully_compliant=True, step=100)
-    assert b.wallets["a"].balance == 10.0
+    assert b.balances.wallets["a"] == 10_000_000
 
 
 def test_fixed_penalty_single_violation_refunds_nothing():
     b = bank(PenaltyPolicy.FIXED_PENALTY)
     b.deposit("a", 5.0, step=1)
     b.settle_exit("a", fully_compliant=False, step=100)
-    assert b.wallets["a"].balance == 5.0
-    assert b.forfeited_pool_micro == 5_000_000
+    assert b.balances.wallets["a"] == 5_000_000
+    assert b.balances.forfeited_pool == 5_000_000
 
 
 def test_fixed_penalty_zero_stake_refunds_zero_either_way():
@@ -177,7 +180,7 @@ def test_fixed_penalty_zero_stake_refunds_zero_either_way():
         b = bank(PenaltyPolicy.FIXED_PENALTY)
         b.deposit("a", 0.0, step=1)
         b.settle_exit("a", fully_compliant=compliant, step=9)
-        assert b.wallets["a"].balance == 10.0
+        assert b.balances.wallets["a"] == 10_000_000
 
 
 # =============================================================================
@@ -196,10 +199,10 @@ def test_event_driven_violation_forfeits_and_redeposits():
     b = bank(PenaltyPolicy.EVENT_DRIVEN)
     b.deposit("a", 3.0, step=1)
     b.settle_event("a", m=0, required_tokens=6.0, step=10)
-    assert b.forfeited_pool_micro == 3_000_000
-    assert b.bonds["a"].state is BondState.ACTIVE
-    assert b.bonds["a"].amount_micro == 6_000_000
-    assert b.wallets["a"].balance == 1.0
+    assert b.balances.forfeited_pool == 3_000_000
+    assert "a" in b.balances.active_bonds
+    assert b.balances.active_bonds["a"] == 6_000_000
+    assert b.balances.wallets["a"] == 1_000_000
 
 
 def test_event_driven_two_violations_two_redeposits():
@@ -209,7 +212,7 @@ def test_event_driven_two_violations_two_redeposits():
     b.settle_event("a", m=0, required_tokens=4.0, step=3)
     kinds = [t.kind for t in b.transfers]
     assert kinds == ["deposit", "forfeit", "deposit", "forfeit", "deposit"]
-    assert b.forfeited_pool_micro == 5_000_000
+    assert b.balances.forfeited_pool == 5_000_000
 
 
 def test_event_driven_redeposit_may_exclude():
@@ -242,7 +245,7 @@ def test_conservation_and_nonnegativity_random_sequences(policy, data):
         for a in agents:
             m = int(rng.random() < 0.6)
             stake = float(np.round(rng.uniform(0, 4), 4))
-            if b.bonds[a].state is not BondState.ACTIVE:
+            if a not in b.balances.active_bonds:
                 b.deposit(a, stake, step=k)
             elif policy in (PenaltyPolicy.ADAPTIVE,
                             PenaltyPolicy.ADAPTIVE_WITH_RETURN):
@@ -250,11 +253,11 @@ def test_conservation_and_nonnegativity_random_sequences(policy, data):
             elif policy is PenaltyPolicy.EVENT_DRIVEN:
                 b.settle_event(a, m, stake, step=k)
         assert b.conservation_ok()
-        assert all(w.balance_micro >= 0 for w in b.wallets.values())
-        assert b.forfeited_pool_micro >= 0
+        assert all(w >= 0 for w in b.balances.wallets.values())
+        assert b.balances.forfeited_pool >= 0
     if policy is PenaltyPolicy.FIXED_PENALTY:
         for a in agents:
-            if b.bonds[a].state is BondState.ACTIVE:
+            if a in b.balances.active_bonds:
                 b.settle_exit(a, bool(rng.random() < 0.5), step=40)
         assert b.conservation_ok()
 
@@ -274,7 +277,7 @@ def test_every_transfer_lands_on_ledger_and_replays_to_same_balances():
         b.deposit(a, 2.0, step=0)
     for k in range(1, 60):
         for a in agents:
-            if b.bonds[a].state is BondState.ACTIVE:
+            if a in b.balances.active_bonds:
                 b.settle_step(a, int(rng.random() < 0.7),
                               float(np.round(rng.uniform(0, 3), 3)), step=k)
             else:
@@ -282,16 +285,16 @@ def test_every_transfer_lands_on_ledger_and_replays_to_same_balances():
         b.commit()
 
     payloads = mam_fetch(tangle, channel.base_address, ChannelMode.PUBLIC)
-    items = decode_records(payloads)
+    items = transfers_of(payloads)
     assert len(items) == len(b.transfers) + len(agents)      # + init records
     replayed = replay_records(payloads)
-    assert replayed.forfeited_pool == b.forfeited_pool_micro
-    for a in agents:
-        assert replayed.wallets[a] == b.wallets[a].balance_micro
-        live = (b.bonds[a].amount_micro
-                if b.bonds[a].state is BondState.ACTIVE else None)
-        assert replayed.active_bonds.get(a) == live
+    assert replayed == b.balances
     assert replayed.total() == b.initial_total_micro
+
+
+def transfers_of(payloads):
+    """All transfers (and ``init`` records) of escrow channel payloads."""
+    return [Transfer(*t) for p in payloads for t in decode_bundle(p)]
 
 
 def ledger_bank(balances, policy=PenaltyPolicy.ADAPTIVE_WITH_RETURN, rho=0.5):
@@ -321,13 +324,13 @@ def test_v2_bundle_round_trip_through_replay():
     assert payloads[1] == (struct.pack(">BBI", 4, 1, 2)
                            + struct.pack(">IBQH", 1, 1, 4_000_000, 1) + b"a"
                            + struct.pack(">IBQH", 1, 1, 2_000_000, 1) + b"b")
-    assert decode_records(payloads) == [
+    assert transfers_of(payloads) == [
         Transfer(0, "a", "init", 10_000_000),
         Transfer(0, "b", "init", 5_000_000)] + b.transfers
     replayed = replay_records(payloads)
-    assert replayed.wallets == {a: w.balance_micro for a, w in b.wallets.items()}
+    assert replayed.wallets == b.balances.wallets
     assert replayed.active_bonds == {"a": 1_000_000, "b": 1_000_000}
-    assert replayed.forfeited_pool == b.forfeited_pool_micro == 2_000_000
+    assert replayed.forfeited_pool == b.balances.forfeited_pool == 2_000_000
     assert replayed.total() == b.initial_total_micro
 
 
@@ -344,10 +347,10 @@ def test_step_larger_than_one_payload_splits_into_bundles():
     assert all(len(p) <= limit < MAX_PAYLOAD for p in inits + bundles)
     # packed greedily: each bundle but the last is too full for the next item
     for p, nxt in zip(bundles, bundles[1:]):
-        first = decode_records([nxt])[0]
+        first = transfers_of([nxt])[0]
         item = struct.calcsize(">IBQH") + len(first.agent_id.encode())
         assert len(p) + item > limit
-    assert decode_records(bundles) == b.transfers
+    assert transfers_of(bundles) == b.transfers
     assert replay_records(inits + bundles).total() == b.initial_total_micro
 
 
@@ -362,6 +365,12 @@ def test_v1_record_is_rejected():
     one = struct.pack(">IBQH", 1, 0, 5, 1) + b"a"
     with pytest.raises(ValueError, match="malformed"):
         replay_records([struct.pack(">BBI", 4, 1, 2) + one])
+
+
+def test_replay_rejects_a_transfer_before_its_init():
+    limit = MamChannel(ChannelMode.PUBLIC, bytes(32)).message_limit
+    with pytest.raises(ValueError, match="before its init"):
+        replay_records(encode_bundles([(1, "a", "deposit", 5)], limit))
 
 
 def test_transfer_csv_schema(tmp_path):
@@ -391,13 +400,13 @@ def dispatch_oracle(b, agents, schedule):
                                                                  start=1):
         stakes, next_stakes = stakes.tolist(), next_stakes.tolist()
         for i, a in enumerate(agents):
-            if b.bonds[a].state is not BondState.ACTIVE:
+            if a not in b.balances.active_bonds:
                 if policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
                     continue
                 b.deposit(a, stakes[i], step)
         all_compliant &= (bits != 0) | ~present
         for i, a in enumerate(agents):
-            if b.bonds[a].state is not BondState.ACTIVE or not present[i]:
+            if a not in b.balances.active_bonds or not present[i]:
                 continue
             m = int(bits[i])
             if policy in (PenaltyPolicy.ADAPTIVE,
@@ -408,7 +417,7 @@ def dispatch_oracle(b, agents, schedule):
         b.commit()
     if policy is PenaltyPolicy.FIXED_PENALTY:
         for a, compliant in zip(agents, all_compliant.tolist()):
-            if b.bonds[a].state is BondState.ACTIVE:
+            if a in b.balances.active_bonds:
                 b.settle_exit(a, compliant, len(schedule))
         b.commit()
 
@@ -459,10 +468,8 @@ def test_step_calls_equal_per_agent_dispatch(policy, seed):
 
     assert b.transfers == oracle.transfers
     assert b.exclusions == oracle.exclusions
-    assert {a: w.balance_micro for a, w in b.wallets.items()} == \
-        {a: w.balance_micro for a, w in oracle.wallets.items()}
-    assert b.bonds == oracle.bonds
-    assert b.forfeited_pool_micro == oracle.forfeited_pool_micro
+    assert b.balances == oracle.balances
+    assert b.forfeited == oracle.forfeited
     assert ledger == oracle_ledger
     assert b.replay_mismatch(replay_records(ledger)) is None
     assert b.conservation_ok()
@@ -496,3 +503,160 @@ def test_replay_mismatch_names_what_differs():
     replayed = replay_records(fetch())
     replayed.forfeited_pool = 1
     assert b.replay_mismatch(replayed) == "forfeited pool"
+
+
+# =============================================================================
+# The bank against a plain model of the transfer rule
+# =============================================================================
+
+micro_amounts = st.integers(0, 5_000_000)
+
+
+class EscrowModel(RuleBasedStateMachine):
+    """Drives a ledger-backed bank under ``POLICY`` alongside dicts of ints
+    that say, written out here once more, what each transfer does.  After
+    every rule the two agree and tokens are conserved; after every commit a
+    replay of the escrow channel equals the bank."""
+
+    POLICY = PenaltyPolicy.ADAPTIVE
+
+    @initialize(opening=st.lists(st.integers(0, 20_000_000), min_size=1,
+                                 max_size=4),
+                rho=st.sampled_from(["0", "0.3", "0.5", "1"]))
+    def open_bank(self, opening, rho):
+        self.agents = [f"a{i}" for i in range(len(opening))]
+        self.wallets = dict(zip(self.agents, opening))
+        self.bonds = {}
+        self.pool = 0
+        self.forfeited = dict.fromkeys(self.agents, 0)
+        self.exclusions = 0
+        self.rho = Fraction(rho)
+        self.step = 0
+        self.initial_total = sum(opening)
+        self.bank, self.fetch = ledger_bank(
+            {a: m / 1e6 for a, m in self.wallets.items()}, self.POLICY,
+            rho=float(rho))
+
+    def _deposit(self, agent, amount):
+        """The model's deposit; whether it succeeds."""
+        if self.wallets[agent] < amount:
+            self.exclusions += 1
+            return False
+        self.wallets[agent] -= amount
+        self.bonds[agent] = amount
+        return True
+
+    def _forfeit(self, agent):
+        amount = self.bonds.pop(agent)
+        self.pool += amount
+        self.forfeited[agent] += amount
+
+    def _idle(self):
+        return sorted(set(self.agents) - set(self.bonds))
+
+    @precondition(lambda self: len(self.bonds) < len(self.agents))
+    @rule(data=st.data(), amount=micro_amounts)
+    def deposit(self, data, amount):
+        agent = data.draw(st.sampled_from(self._idle()))
+        self.step += 1
+        assert self.bank.deposit(agent, amount / 1e6, self.step) == \
+            self._deposit(agent, amount)
+
+    @precondition(lambda self: self.bonds)
+    @rule(data=st.data(), amount=micro_amounts)
+    def deposit_on_active_bond_is_fault(self, data, amount):
+        agent = data.draw(st.sampled_from(sorted(self.bonds)))
+        with pytest.raises(EscrowFault):
+            self.bank.deposit(agent, amount / 1e6, self.step)
+
+    @precondition(lambda self: self.bonds
+                  and self.POLICY in (PenaltyPolicy.ADAPTIVE,
+                                      PenaltyPolicy.ADAPTIVE_WITH_RETURN))
+    @rule(data=st.data(), m=st.integers(0, 1), amount=micro_amounts)
+    def settle_step(self, data, m, amount):
+        agent = data.draw(st.sampled_from(sorted(self.bonds)))
+        self.step += 1
+        ok = self.bank.settle_step(agent, m, amount / 1e6, self.step)
+        if not m:
+            self._forfeit(agent)
+        else:
+            self.wallets[agent] += self.bonds.pop(agent)
+            if self.POLICY is PenaltyPolicy.ADAPTIVE_WITH_RETURN:
+                back = round(self.rho * self.forfeited[agent])  # half even
+                self.forfeited[agent] -= back
+                self.pool -= back
+                self.wallets[agent] += back
+        assert ok == self._deposit(agent, amount)
+
+    @precondition(lambda self: self.bonds
+                  and self.POLICY is PenaltyPolicy.EVENT_DRIVEN)
+    @rule(data=st.data(), m=st.integers(0, 1), amount=micro_amounts)
+    def settle_event(self, data, m, amount):
+        agent = data.draw(st.sampled_from(sorted(self.bonds)))
+        self.step += 1
+        ok = self.bank.settle_event(agent, m, amount / 1e6, self.step)
+        if not m:
+            self._forfeit(agent)
+            assert ok == self._deposit(agent, amount)
+        else:
+            assert ok
+
+    @precondition(lambda self: self.bonds
+                  and self.POLICY is PenaltyPolicy.FIXED_PENALTY)
+    @rule(data=st.data(), compliant=st.booleans())
+    def settle_exit(self, data, compliant):
+        agent = data.draw(st.sampled_from(sorted(self.bonds)))
+        self.step += 1
+        self.bank.settle_exit(agent, compliant, self.step)
+        if compliant:
+            self.wallets[agent] += self.bonds.pop(agent)
+        else:
+            self._forfeit(agent)
+
+    @precondition(lambda self: len(self.bonds) < len(self.agents))
+    @rule(data=st.data(), m=st.integers(0, 1))
+    def settle_idle_bond_is_fault(self, data, m):
+        agent = data.draw(st.sampled_from(self._idle()))
+        settle = {PenaltyPolicy.EVENT_DRIVEN: self.bank.settle_event,
+                  PenaltyPolicy.FIXED_PENALTY: self.bank.settle_exit}.get(
+                      self.POLICY, self.bank.settle_step)
+        args = (m,) if self.POLICY is PenaltyPolicy.FIXED_PENALTY else (m, 0.0)
+        with pytest.raises(EscrowFault):
+            settle(agent, *args, self.step)
+
+    @rule()
+    def commit(self):
+        self.bank.commit()
+        assert replay_records(self.fetch()) == self.bank.balances
+
+    @invariant()
+    def bank_equals_model(self):
+        balances = self.bank.balances
+        assert balances.wallets == self.wallets
+        assert balances.active_bonds == self.bonds
+        assert balances.forfeited_pool == self.pool
+        assert self.bank.forfeited == self.forfeited
+        assert len(self.bank.exclusions) == self.exclusions
+
+    @invariant()
+    def tokens_are_conserved(self):
+        assert self.bank.conservation_ok()
+        assert (sum(self.wallets.values()) + sum(self.bonds.values())
+                + self.pool) == self.initial_total == \
+            self.bank.initial_total_micro
+
+
+def _model_test_case(policy):
+    machine = type(f"EscrowModel_{policy.value}", (EscrowModel,),
+                   {"POLICY": policy})
+    case = machine.TestCase
+    case.settings = settings(max_examples=60, stateful_step_count=30,
+                             deadline=None)
+    return case
+
+
+TestFixedPenaltyModel = _model_test_case(PenaltyPolicy.FIXED_PENALTY)
+TestAdaptiveModel = _model_test_case(PenaltyPolicy.ADAPTIVE)
+TestAdaptiveWithReturnModel = _model_test_case(
+    PenaltyPolicy.ADAPTIVE_WITH_RETURN)
+TestEventDrivenModel = _model_test_case(PenaltyPolicy.EVENT_DRIVEN)

@@ -15,7 +15,7 @@ from masksim import records
 from masksim.bus import BusMessage, decode_bridge_record, encode_bridge_record
 from masksim.cli import main
 from masksim.controller import decode_cost_vector, encode_cost_vector
-from masksim.escrow import decode_records, replay_records
+from masksim.escrow import replay_records
 from masksim.ledger import ChannelMode, MamChannel
 from masksim.runner import run_scenario
 from masksim.scenario import scenario_from_dict
@@ -160,8 +160,7 @@ def test_truncated_cost_and_escrow_records_raise_value_error(step, costs,
 def test_random_bytes_give_none_or_value_error(data):
     for decode in (decode_status, decode_bridge_record):
         assert decode(data) is None or isinstance(decode(data), dict)
-    for decode, arg in ((decode_cost_vector, data), (decode_records, [data]),
-                        (replay_records, [data])):
+    for decode, arg in ((decode_cost_vector, data), (replay_records, [data])):
         with contextlib.suppress(ValueError):
             decode(arg)
 
@@ -177,7 +176,7 @@ def test_old_json_records_are_rejected():
         decode_cost_vector(b"CST1" + struct.pack(">IdB", 1, 0.5, 0)
                            + struct.pack(">d", 0.1))
     with pytest.raises(ValueError, match="version"):
-        decode_records([b'{"v":2,"transfers":[[0,"a","init",5]]}'])
+        records.decode_bundle(b'{"v":2,"transfers":[[0,"a","init",5]]}')
 
 
 # =============================================================================

@@ -205,8 +205,7 @@ def test_fixed_penalty_policy_settles_at_exit():
                               "initial_balance": 30.0})
     res = run_scenario(cfg)
     assert res.bank.conservation_ok()
-    states = {b.state.value for b in res.bank.bonds.values()}
-    assert "active" not in states       # every bond settled at exit
+    assert not res.bank.balances.active_bonds   # every bond settled at exit
 
 
 # =============================================================================
@@ -251,7 +250,7 @@ def test_hil_mask_worn_throughout_fixed_penalty_full_refund(tmp_path):
     res = run_hil_replay(cfg, path)
     hil_agent = agent_ids(cfg.world.n_agents)[cfg.hil.agent_index]
     # fully compliant: every staked token comes back at exit
-    assert res.bank.wallets[hil_agent].balance == 40.0
+    assert res.bank.balances.wallets[hil_agent] == 40_000_000
     refunds = [t for t in res.bank.transfers
                if t.agent_id == hil_agent and t.kind == "refund"]
     assert len(refunds) == 1 and refunds[0].amount_micro == 2_000_000
@@ -269,7 +268,7 @@ def test_hil_mask_never_worn_forfeits_under_every_policy(tmp_path, policy):
     forfeits = [t for t in res.bank.transfers
                 if t.agent_id == hil_agent and t.kind == "forfeit"]
     assert forfeits, f"no forfeiture under {policy}"
-    assert res.bank.wallets[hil_agent].balance < 40.0
+    assert res.bank.balances.wallets[hil_agent] < 40_000_000
 
 
 def test_hil_agent_gets_positioned_status_records(tmp_path):
@@ -397,6 +396,10 @@ def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, over, args,
 
 
 NOT_UTF8 = b'{"format": "masksim-tangle\xff"}'
+# JSON that the decoder rejects with RecursionError and with a ValueError
+# that is not a JSONDecodeError (Python's 4,300-digit limit on int parsing)
+DEEP_NESTING = b"[" * 100_000 + b"]" * 100_000
+HUGE_INT = b'{"version": ' + b"9" * 5_000 + b"}"
 
 
 def test_cli_missing_config_exit_4(tmp_path):
@@ -411,6 +414,9 @@ def test_cli_missing_config_exit_4(tmp_path):
                  id="position-out-directory"),
     pytest.param(["simulate", "{path}"], NOT_UTF8, 2, id="simulate-not-utf8"),
     pytest.param(["position", "{path}"], NOT_UTF8, 2, id="position-not-utf8"),
+    pytest.param(["simulate", "{path}"], DEEP_NESTING, 2,
+                 id="simulate-deep-nesting"),
+    pytest.param(["simulate", "{path}"], HUGE_INT, 2, id="simulate-huge-int"),
 ])
 def test_cli_unreadable_input_exit_code_without_traceback(
         tmp_path, capsys, argv, content, code):
@@ -451,8 +457,10 @@ def test_cli_ledger_inspect_clean_and_tampered(tmp_path, capsys):
     {"format": "masksim-tangle", "version": 1, "genesis": "00" * 32,
      "transactions": None},
     NOT_UTF8,
+    DEEP_NESTING,
+    HUGE_INT,
 ], ids=["top-level-list", "no-genesis", "non-hex-genesis", "null-transactions",
-        "not-utf8"])
+        "not-utf8", "deep-nesting", "huge-int"])
 def test_cli_ledger_inspect_malformed_snapshot_exit_3(tmp_path, capsys, doc):
     path = tmp_path / "malformed.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
