@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ledger import ChannelReader, LedgerError, MamChannel, Tangle
 from .records import decode_bridge_record, encode_bridge
@@ -39,8 +39,7 @@ def validate_topic(topic: str) -> str:
     return topic
 
 
-@dataclass(frozen=True)
-class BusMessage:
+class BusMessage(NamedTuple):
     topic: str
     payload: bytes
     publisher_id: str
@@ -121,15 +120,19 @@ class MessageBus:
         may pass the original value explicitly so that downstream dedup keyed
         on (publisher, sequence) recognizes the retry.
         """
-        validate_topic(topic)
+        key = (publisher_id, topic)
+        # a key gets a sequence only after its topic is validated, so the
+        # sequence table doubles as the cache of validated topics
+        if key not in self._sequences:
+            validate_topic(topic)
         if len(payload) > MAX_BUS_PAYLOAD:
             raise ValueError(
                 f"payload of {len(payload)} bytes exceeds {MAX_BUS_PAYLOAD}")
         with self._lock:
-            key = (publisher_id, topic)
+            last = self._sequences.get(key, 0)
             if sequence is None:
-                sequence = self._sequences.get(key, 0) + 1
-            self._sequences[key] = max(self._sequences.get(key, 0), sequence)
+                sequence = last + 1
+            self._sequences[key] = sequence if sequence > last else last
             message = BusMessage(topic, payload, publisher_id, sequence)
             for sub in self._subs.get(topic, ()):
                 sub._offer(message)
@@ -190,26 +193,32 @@ class Gateway:
         force a crash mid-stream).
         """
         appended: list[bytes] = []
-        processed = 0
+        left = limit
+        seen = self._seen
         for topic, sub in self._subs.items():
+            queue = sub._queue
+            if not queue:
+                continue
             channel = self._routes[topic]
-            while limit is None or processed < limit:
-                message = sub.pop()
-                if message is None:
+            while left is None or left > 0:
+                try:
+                    message = queue.popleft()
+                except IndexError:
                     break
-                processed += 1
-                key = (message.publisher_id, message.topic, message.sequence)
-                if key in self._seen:
+                if left is not None:
+                    left -= 1
+                key = (message.publisher_id, topic, message.sequence)
+                if key in seen:
                     self.duplicates += 1
                     continue
                 tx_id = self._append(channel, message)
                 if tx_id is None:
                     self.dead_letters.append(message)
                 else:
-                    self._seen.add(key)
+                    seen.add(key)
                     self.bridged += 1
                     appended.append(tx_id)
-            if limit is not None and processed >= limit:
+            if left == 0:
                 break
         return appended
 

@@ -26,24 +26,17 @@ AEAD_KEY_SIZE = 32
 AEAD_NONCE_SIZE = 12
 AEAD_TAG_SIZE = 16
 
+_sha256 = hashlib.sha256
+
 
 def digest(*parts: bytes) -> bytes:
     """SHA-256 over the concatenation of ``parts``."""
-    return hashlib.sha256(b"".join(parts)).digest()
+    return _sha256(b"".join(parts)).digest()
 
 
 def derive_key(label: bytes, *parts: bytes) -> bytes:
     """Derive a 32-byte subkey, domain-separated by ``label``."""
     return digest(label, *parts)
-
-
-def derive_nonce(label: bytes, *parts: bytes) -> bytes:
-    """Derive a 12-byte AEAD nonce, domain-separated by ``label``.
-
-    Callers must guarantee that the part tuple is unique per (key, message);
-    the channel codec does this by folding the message index in.
-    """
-    return digest(label, *parts)[:AEAD_NONCE_SIZE]
 
 
 def cipher(key: bytes) -> ChaCha20Poly1305:

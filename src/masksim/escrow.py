@@ -2,7 +2,8 @@
 state machine.
 
 All amounts are held internally as integer micro-tokens (1e-6 token units);
-floats coming from the controller are rounded half-even at deposit time.
+floats coming from the controller are rounded half-even at deposit time,
+exactly, in integer arithmetic.
 That makes the conservation invariant exact:
 
     sum(wallets) + sum(active bonds) + forfeited pool == initial total
@@ -51,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from .ledger import MamChannel, Tangle
 from .records import decode_bundle, encode_bundles
 
 MICRO_PER_TOKEN = 10**6
+_ONE = Decimal(1)
 
 
 class EscrowFault(Exception):
@@ -65,11 +68,20 @@ class EscrowFault(Exception):
 
 
 def to_micro(tokens: float) -> int:
-    """Round a token amount to integer micro-tokens, ties to even."""
+    """Round a token amount to integer micro-tokens, ties to even.
+
+    Exact: a float is a binary fraction ``num / den``, so the micro-token
+    amount is the integer quotient of ``num * 10**6`` by ``den``, rounded
+    up past half a micro-token and to the even quotient at exactly half.
+    """
     if tokens < 0:
         raise ValueError("token amounts are non-negative")
-    return int(Decimal(tokens).scaleb(6).quantize(Decimal(1),
-                                                  rounding=ROUND_HALF_EVEN))
+    num, den = tokens.as_integer_ratio()
+    micro, rest = divmod(num * MICRO_PER_TOKEN, den)
+    rest += rest
+    if rest > den or (rest == den and micro & 1):
+        micro += 1
+    return micro
 
 
 def micro_to_str(micro: int) -> str:
@@ -86,8 +98,13 @@ class PenaltyPolicy(Enum):
     EVENT_DRIVEN = "event_driven"
 
 
-@dataclass(frozen=True)
-class Transfer:
+# the policies ``settle_step`` checks per agent, looked up once: on Python
+# 3.11 an enum member lookup costs more than the check it serves
+_ADAPTIVE = (PenaltyPolicy.ADAPTIVE, PenaltyPolicy.ADAPTIVE_WITH_RETURN)
+_WITH_RETURN = PenaltyPolicy.ADAPTIVE_WITH_RETURN
+
+
+class Transfer(NamedTuple):
     step: int
     agent_id: str
     kind: str            # deposit | refund | forfeit | partial_return
@@ -157,6 +174,7 @@ class EscrowBank:
             raise ValueError("rho must lie in [0, 1]")
         self.policy = policy
         self.rho = rho
+        self._rho = Decimal(str(rho))       # the partial return's exact rate
         self.balances = Balances()
         # cumulative forfeitures per agent, drawn down by partial returns
         self.forfeited = dict.fromkeys(initial_balances, 0)
@@ -164,7 +182,7 @@ class EscrowBank:
         self.exclusions: list[ExclusionEvent] = []
         self._tangle = tangle
         self._channel = channel
-        self._pending: list[tuple] = []     # records not yet on the ledger
+        self._pending: list[Transfer] = []  # records not yet on the ledger
         self._violators: set[str] = set()   # fixed penalty: not refunded at exit
         for agent, tokens in initial_balances.items():
             self._record(0, agent, "init", to_micro(tokens))
@@ -177,10 +195,11 @@ class EscrowBank:
         """Apply one record to the balances, log it as a transfer (an
         ``init`` is not one) and buffer it for the ledger."""
         apply(self.balances, agent, kind, amount_micro)
+        record = Transfer(step, agent, kind, amount_micro)
         if kind != "init":
-            self.transfers.append(Transfer(step, agent, kind, amount_micro))
+            self.transfers.append(record)
         if self._channel is not None and self._tangle is not None:
-            self._pending.append((step, agent, kind, amount_micro))
+            self._pending.append(record)
 
     def commit(self) -> None:
         """Publish the buffered records, in order, packed greedily into as
@@ -269,17 +288,15 @@ class EscrowBank:
         Returns whether the re-stake succeeded (False means the agent is
         excluded from the next step).
         """
-        if self.policy not in (PenaltyPolicy.ADAPTIVE,
-                               PenaltyPolicy.ADAPTIVE_WITH_RETURN):
+        if self.policy not in _ADAPTIVE:
             raise EscrowFault(f"settle_step does not apply to {self.policy.value}")
         amount = self._active_bond(agent_id)
         if m:
             self._record(step, agent_id, "refund", amount)
             forfeited = self.forfeited[agent_id]
-            if (self.policy is PenaltyPolicy.ADAPTIVE_WITH_RETURN
-                    and forfeited > 0):
-                returned = int((Decimal(str(self.rho)) * forfeited)
-                               .quantize(Decimal(1), rounding=ROUND_HALF_EVEN))
+            if forfeited > 0 and self.policy is _WITH_RETURN:
+                returned = int((self._rho * forfeited)
+                               .quantize(_ONE, rounding=ROUND_HALF_EVEN))
                 if returned > 0:
                     self.forfeited[agent_id] -= returned
                     self._record(step, agent_id, "partial_return", returned)

@@ -24,9 +24,12 @@ the two-parent rule holds for every transaction.  Its id is computed with
 zero bytes in the parent slots (a literal fixpoint hash is impossible), and
 ``verify`` knows about that convention.
 
-Concurrency: appends are serialized through one internal lock; reads see a
-consistent prefix.  ``verify`` holds the lock for its whole walk, so
-appends wait for it.
+Concurrency: appends are serialized through one internal lock, taken
+once per append.  ``verify`` holds the lock for its whole walk, so appends
+wait for it.  ``ChannelReader.poll`` takes it once per channel index it
+looks up (through ``transactions_at``), not for the whole walk: a poll that
+races a publish returns a prefix of the channel, and the next poll resumes
+at the first index it did not see.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ _NONCE_DOMAIN = b"masksim-mam-nonce"
 _ENVELOPE_MAGIC = b"MAM1"
 _ENVELOPE_VERSION = 1
 _ENVELOPE_HEADER = len(_ENVELOPE_MAGIC) + 2 + 8     # magic, version, mode, index
+_INDEX = struct.Struct(">Q")                        # a message's channel index
 
 SNAPSHOT_FORMAT = "masksim-tangle"
 SNAPSHOT_VERSION = 1
@@ -138,7 +142,7 @@ class Tangle:
 
     def _start(self, genesis: bytes, rng_seed: int) -> None:
         """An empty store around the genesis id; ``_attach`` fills it."""
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._rng = random.Random(rng_seed)
         self.genesis = genesis
         self.transactions: dict[bytes, Transaction] = {}
@@ -150,13 +154,15 @@ class Tangle:
     def _attach(self, tx: Transaction) -> None:
         """Store ``tx``: the one place the store, the tips and the address
         index change.  The caller holds the lock or owns the tangle."""
-        self.transactions[tx.id] = tx
-        for p in tx.parents:
-            self._tips.pop(p, None)
-        self._tips[tx.id] = None
-        if tx.channel_address is not None:
-            self._by_address.setdefault(tx.channel_address, []).append(tx)
-        self._next_time = tx.logical_time + 1
+        tid, (p0, p1), _, address, logical_time = tx
+        self.transactions[tid] = tx
+        tips = self._tips
+        tips.pop(p0, None)
+        tips.pop(p1, None)
+        tips[tid] = None
+        if address is not None:
+            self._by_address.setdefault(address, []).append(tx)
+        self._next_time = logical_time + 1
 
     # -- core operations ------------------------------------------------
 
@@ -190,16 +196,21 @@ class Tangle:
         if channel_address is not None and len(channel_address) != 32:
             raise LedgerError("channel address must be 32 bytes")
         with self._lock:
+            txs = self.transactions
             if parents is None:
-                parents = self.select_tips()
-            elif len(parents) != 2:
-                raise LedgerError("exactly two parents required")
-            for p in parents:
-                if p not in self.transactions:
-                    raise IntegrityError(f"unknown parent {p.hex()}")
-            parents = (parents[0], parents[1])
+                # as ``select_tips`` draws them, without taking the lock again
+                pool = list(self._tips)
+                choice = self._rng.choice
+                parents = (choice(pool), choice(pool))
+            else:
+                if len(parents) != 2:
+                    raise LedgerError("exactly two parents required")
+                for p in parents:
+                    if p not in txs:
+                        raise IntegrityError(f"unknown parent {p.hex()}")
+                parents = (parents[0], parents[1])
             tid = transaction_id(parents, payload, channel_address)
-            if tid in self.transactions:
+            if tid in txs:
                 # identical content already attached at the same parents;
                 # content addressing makes the re-append a no-op
                 return tid
@@ -239,29 +250,30 @@ class Tangle:
             last_time = -1
             ordered = True
             for tid, tx in txs.items():
+                _, parents, payload, address, logical_time = tx
                 is_genesis = tid == genesis
-                effective = (ZERO32, ZERO32) if is_genesis else tx.parents
-                if transaction_id(effective, tx.payload,
-                                  tx.channel_address) != tid:
+                effective = (ZERO32, ZERO32) if is_genesis else parents
+                if transaction_id(effective, payload, address) != tid:
                     problems.append(f"content hash mismatch on {tid.hex()[:16]}")
-                if len(tx.payload) > MAX_PAYLOAD:
+                if len(payload) > MAX_PAYLOAD:
                     problems.append(f"oversize payload on {tid.hex()[:16]}")
-                if tx.logical_time <= last_time:
+                if logical_time <= last_time:
                     ordered = False
                     problems.append(
                         f"{tid.hex()[:16]} is stored out of logical-time order "
-                        f"({tx.logical_time} after {last_time})")
-                last_time = tx.logical_time
+                        f"({logical_time} after {last_time})")
+                last_time = logical_time
                 if is_genesis:
                     continue
-                for p in dict.fromkeys(tx.parents):     # a twice-named parent once
+                # a twice-named parent once
+                for p in (parents if parents[0] != parents[1] else parents[:1]):
                     parent = txs.get(p)
                     if parent is None:
                         problems.append(f"{tid.hex()[:16]} has unresolvable "
                                         f"parent {p.hex()[:16]}")
                         continue
                     children[p] += 1
-                    if parent.logical_time >= tx.logical_time:
+                    if parent.logical_time >= logical_time:
                         ordered = False
                         problems.append(f"{tid.hex()[:16]} does not postdate "
                                         f"parent {p.hex()[:16]}")
@@ -439,9 +451,16 @@ def _message_key(base_address: bytes, side_key: bytes) -> bytes:
     return crypto.derive_key(_KEY_DOMAIN, base_address, side_key)
 
 
-def _message_nonce(base_address: bytes, index: int) -> bytes:
-    return crypto.derive_nonce(_NONCE_DOMAIN, base_address,
-                               struct.pack(">Q", index))
+def _message_nonce(base_address: bytes, index_bytes: bytes) -> bytes:
+    """The AEAD nonce of a message, from its 8 channel-index bytes."""
+    return crypto.digest(_NONCE_DOMAIN, base_address,
+                         index_bytes)[:crypto.AEAD_NONCE_SIZE]
+
+
+def _envelope_head(mode: ChannelMode) -> bytes:
+    """What every envelope of a ``mode`` channel starts with, before its
+    8 index bytes: magic, version and mode."""
+    return _ENVELOPE_MAGIC + bytes([_ENVELOPE_VERSION, _MODE_BYTES[mode]])
 
 
 @dataclass
@@ -461,6 +480,7 @@ class MamChannel:
         self._base = channel_address(self.mode, self.root, self.side_key)
         self._aead = (crypto.cipher(_message_key(self._base, self.side_key))
                       if self.mode is ChannelMode.RESTRICTED else None)
+        self._head = _envelope_head(self.mode)
         self._cursor = self._base
 
     @property
@@ -486,15 +506,14 @@ class MamChannel:
         """Encode, encrypt if restricted, and append; returns the tx id."""
         index = self.next_index
         address = self._cursor
+        index_bytes = _INDEX.pack(index)
         if self._aead is not None:
-            body = crypto.encrypt(self._aead, _message_nonce(self._base, index),
+            body = crypto.encrypt(self._aead,
+                                  _message_nonce(self._base, index_bytes),
                                   message, aad=address)
         else:
             body = message
-        envelope = (_ENVELOPE_MAGIC
-                    + bytes([_ENVELOPE_VERSION, _MODE_BYTES[self.mode]])
-                    + struct.pack(">Q", index)
-                    + body)
+        envelope = self._head + index_bytes + body
         if len(envelope) > MAX_PAYLOAD:
             raise PayloadTooLarge(
                 f"message of {len(message)} bytes exceeds the channel limit")
@@ -508,25 +527,24 @@ _MODE_BYTES = {ChannelMode.PUBLIC: 0, ChannelMode.PRIVATE: 1,
                ChannelMode.RESTRICTED: 2}
 
 
-def _decode_envelope(payload: bytes, address: bytes, base_address: bytes,
-                     index: int, mode: ChannelMode, aead) -> bytes | None:
+def _decode_envelope(payload: bytes, header: bytes, address: bytes,
+                     base_address: bytes, restricted: bool,
+                     aead) -> bytes | None:
     """Decode one stored envelope; ``None`` if it is not decodable.
 
-    ``aead`` is the channel's cipher, ``None`` when the reader has no key.
+    ``header`` is the envelope head of the channel's mode followed by the
+    message's 8 index bytes; ``aead`` is the channel's cipher, ``None``
+    when the reader has no key.
     """
-    if len(payload) < _ENVELOPE_HEADER or payload[:4] != _ENVELOPE_MAGIC:
-        return None
-    if payload[4] != _ENVELOPE_VERSION or payload[5] != _MODE_BYTES[mode]:
-        return None
-    (stored_index,) = struct.unpack(">Q", payload[6:14])
-    if stored_index != index:
+    if payload[:_ENVELOPE_HEADER] != header:
         return None
     body = payload[_ENVELOPE_HEADER:]
-    if mode is not ChannelMode.RESTRICTED:
+    if not restricted:
         return body
     if aead is None:
         return None
-    return crypto.decrypt(aead, _message_nonce(base_address, index),
+    return crypto.decrypt(aead,
+                          _message_nonce(base_address, header[-_INDEX.size:]),
                           body, aad=address)
 
 
@@ -547,9 +565,10 @@ class ChannelReader:
                  side_key: bytes | None = None):
         self._tangle = tangle
         self._base = address
-        self._mode = mode
+        self._head = _envelope_head(mode)
+        self._restricted = mode is ChannelMode.RESTRICTED
         self._aead = (crypto.cipher(_message_key(address, side_key))
-                      if mode is ChannelMode.RESTRICTED and side_key else None)
+                      if self._restricted and side_key else None)
         self._cursor = address
         self._index = 0
 
@@ -561,17 +580,23 @@ class ChannelReader:
     def poll(self) -> list[ChannelMessage]:
         """Messages published since the last poll, in channel order."""
         out: list[ChannelMessage] = []
+        transactions_at = self._tangle.transactions_at
+        head, base, restricted, aead = (self._head, self._base,
+                                        self._restricted, self._aead)
+        cursor, index = self._cursor, self._index
         while True:
-            txs = self._tangle.transactions_at(self._cursor)
+            txs = transactions_at(cursor)
             if not txs:
                 return out
+            header = head + _INDEX.pack(index)
             for tx in txs:
-                body = _decode_envelope(tx.payload, self._cursor, self._base,
-                                        self._index, self._mode, self._aead)
+                body = _decode_envelope(tx.payload, header, cursor, base,
+                                        restricted, aead)
                 if body is not None:
-                    out.append(ChannelMessage(self._index, tx.id, body))
-            self._index += 1
-            self._cursor = _next_address(self._cursor)
+                    out.append(ChannelMessage(index, tx.id, body))
+            index += 1
+            cursor = _next_address(cursor)
+            self._cursor, self._index = cursor, index
 
 
 def mam_fetch(tangle: Tangle, address: bytes, mode: ChannelMode,

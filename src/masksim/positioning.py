@@ -9,7 +9,8 @@ produces six timestamps, three per device clock.  The four-term average
 cancels the constant clock offset between the two devices; distance is then
 ToF times the speed of light.  A position is solved from distances to at
 least three non-collinear fixed anchors by Gauss-Newton least squares on
-the range residuals, initialized at the anchor centroid.
+the range residuals, initialized at the anchor centroid; see
+:func:`multilaterate` for when it stops.
 
 ``simulate_exchange`` is the hardware stand-in: it fabricates the six
 timestamps for a given true distance, processing delays, clock offset and
@@ -25,8 +26,10 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0   # m/s
 
-GN_MAX_ITERATIONS = 50
+GN_MAX_ITERATIONS = 50           # per phase: Gauss-Newton, then Newton
 GN_STEP_TOLERANCE = 1e-10        # meters
+GN_COST_TOLERANCE = 1e-12        # relative fall of the squared range error
+GN_MAX_HALVINGS = 40
 
 
 class ExchangeError(ValueError):
@@ -131,12 +134,33 @@ def _collinear(anchors: np.ndarray) -> bool:
     return s[-1] <= 1e-9 * max(s[0], 1.0)
 
 
+def _linearize(x: np.ndarray, a: np.ndarray, d: np.ndarray):
+    """Range residuals at ``x``, their Jacobian and the ranges."""
+    diff = x - a
+    ranges = np.linalg.norm(diff, axis=1)
+    ranges = np.maximum(ranges, 1e-12)   # guard: estimate on an anchor
+    return ranges - d, diff / ranges[:, None], ranges
+
+
+def _cost(x, a, d) -> float:
+    """The squared range error ``sum_k (|x - a_k| - d_k)^2``."""
+    residuals, _, _ = _linearize(x, a, d)
+    return float(residuals @ residuals)
+
+
 def multilaterate(anchors, distances) -> FixResult:
     """Least-squares 2-D position from anchor distances.
 
     Minimizes ``sum_k (|x - a_k| - d_k)^2`` by Gauss-Newton from the anchor
-    centroid; a singular geometry (collinear anchors) or failure to converge
-    within the iteration cap yields a no-fix result with a diagnostic.
+    centroid, and stops at a step shorter than :data:`GN_STEP_TOLERANCE`.
+    Near an anchor Gauss-Newton can creep or zigzag instead: it drops the
+    curvature of the ranges, which grows as the estimate nears an anchor.
+    A solve still going after :data:`GN_MAX_ITERATIONS` steps goes on with
+    :func:`_newton_descent`, which keeps that curvature, halves a step
+    until it lowers the error, and stops at a step that short or a
+    stationary cost.  No fix comes back, with a diagnostic, for fewer than
+    3 anchors, collinear anchors, or an error still falling after
+    :data:`GN_MAX_ITERATIONS` steps of both phases.
     """
     a = np.asarray(anchors, dtype=float)
     d = np.asarray(distances, dtype=float)
@@ -154,22 +178,60 @@ def multilaterate(anchors, distances) -> FixResult:
     x = a.mean(axis=0)
     iterations = 0
     for iterations in range(1, GN_MAX_ITERATIONS + 1):
-        diff = x - a
-        ranges = np.linalg.norm(diff, axis=1)
-        ranges = np.maximum(ranges, 1e-12)   # guard: estimate on an anchor
-        residuals = ranges - d
-        jac = diff / ranges[:, None]
+        residuals, jac, _ = _linearize(x, a, d)
         step_vec, *_ = np.linalg.lstsq(jac, -residuals, rcond=None)
         x = x + step_vec
         if np.linalg.norm(step_vec) < GN_STEP_TOLERANCE:
             break
     else:
-        return FixResult(None, float("nan"), GN_MAX_ITERATIONS, False,
-                         "did not converge")
+        x, extra = _newton_descent(x, a, d)
+        iterations += extra
+        if x is None:
+            return FixResult(None, float("nan"), iterations, False,
+                             "did not converge")
 
     final = np.maximum(np.linalg.norm(x - a, axis=1), 1e-12) - d
     rms = float(np.sqrt(np.mean(final**2)))
     return FixResult((float(x[0]), float(x[1])), rms, iterations, True)
+
+
+def _newton_descent(x, a, d) -> tuple[np.ndarray | None, int]:
+    """Newton's method on the squared range error from ``x``; returns the
+    point and the steps taken, or ``None`` and the steps if the error still
+    falls after :data:`GN_MAX_ITERATIONS` steps.
+
+    The Hessian adds to Gauss-Newton's ``J^T J`` each range's curvature,
+    ``r_k / rho_k (I - u_k u_k^T)``.  It turns indefinite where the
+    estimate is closer to an anchor than the measured distance, so the step
+    divides by the absolute value of each eigenvalue: a Newton step where
+    the Hessian is positive definite, downhill off a saddle where it is not
+    (saddle-free Newton).  A step is halved until it lowers the error; the
+    descent stops at a step shorter than :data:`GN_STEP_TOLERANCE`, a fall
+    of the error within a relative :data:`GN_COST_TOLERANCE`, or no lower
+    error within :data:`GN_MAX_HALVINGS` halvings (a stationary cost).
+    """
+    cost = _cost(x, a, d)
+    for iterations in range(1, GN_MAX_ITERATIONS + 1):
+        residuals, jac, ranges = _linearize(x, a, d)
+        bend = residuals / ranges
+        hess = (jac * (1.0 - bend)[:, None]).T @ jac + bend.sum() * np.eye(2)
+        curv, axes = np.linalg.eigh(hess)
+        curv = np.maximum(np.abs(curv), 1e-12 * np.abs(curv).max())
+        step_vec = -axes @ ((axes.T @ (jac.T @ residuals)) / curv)
+        for _ in range(GN_MAX_HALVINGS):
+            trial = x + step_vec
+            trial_cost = _cost(trial, a, d)
+            if trial_cost < cost:
+                break
+            step_vec = step_vec / 2
+        else:
+            return x, iterations
+        fall = cost - trial_cost
+        x, cost = trial, trial_cost
+        if (np.linalg.norm(step_vec) < GN_STEP_TOLERANCE
+                or fall <= GN_COST_TOLERANCE * cost):
+            return x, iterations
+    return None, GN_MAX_ITERATIONS
 
 
 def locate_from_exchanges(anchors: list[Anchor],

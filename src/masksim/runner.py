@@ -148,9 +148,10 @@ class _Run:
         self.bus = MessageBus()
         self.agents = agent_ids(config.world.n_agents)
         self.channels = {a: agent_channel(seed, a) for a in self.agents}
+        self.topics = [status_topic(a) for a in self.agents]
         self.gateway = Gateway(
             self.bus, self.tangle,
-            {status_topic(a): self.channels[a] for a in self.agents})
+            {t: self.channels[a] for t, a in zip(self.topics, self.agents)})
         self.readers = [
             ChannelReader(self.tangle, ch.base_address, ch.mode, ch.side_key)
             for ch in self.channels.values()]
@@ -213,25 +214,29 @@ class _Run:
     def _publish_statuses(self, step: int, bits: np.ndarray,
                           positions: list) -> None:
         """Every agent's status onto the bus, then the bus onto the ledger."""
-        for a, m, pos in zip(self.agents, bits.tolist(), positions):
-            self.bus.publish(status_topic(a), encode_status(a, step, m, pos),
-                             publisher_id=a)
+        publish = self.bus.publish
+        for a, topic, m, pos in zip(self.agents, self.topics, bits.tolist(),
+                                    positions):
+            publish(topic, encode_status(a, step, m, pos), publisher_id=a)
         self.gateway.pump()
 
     def _read_records(self, step: int) -> tuple[np.ndarray, np.ndarray]:
         """The step's statuses as read back from the ledger, in agent order:
         each agent's mask bit, and whether its record arrived."""
-        bits = np.zeros(len(self.agents))
-        present = np.zeros(len(self.agents), dtype=bool)
+        n = len(self.agents)
+        bits, arrived = [0.0] * n, [False] * n
+        bridge, status = decode_bridge_record, decode_status
         for i, reader in enumerate(self.readers):
             for msg in reader.poll():
-                rec = decode_bridge_record(msg.body)
+                rec = bridge(msg.body)
                 if rec is None:
                     continue
-                doc = decode_status(rec["payload"])
+                doc = status(rec["payload"])
                 if doc is not None and doc["step"] == step:
                     bits[i] = doc["M"]
-                    present[i] = True
+                    arrived[i] = True
+        bits = np.array(bits, dtype=float)
+        present = np.array(arrived, dtype=bool)
         if not present.all():
             log.warning("step %d: %d/%d compliance records on ledger",
                         step, present.sum(), len(self.agents))

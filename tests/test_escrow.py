@@ -1,19 +1,22 @@
 """Bond state machine, the four penalty policies, exact token conservation."""
 
 import json
+import math
 import struct
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
-from masksim.escrow import (EscrowBank, EscrowFault, PenaltyPolicy, Transfer,
-                            micro_to_str, replay_records, to_micro)
-from masksim.records import decode_bundle, encode_bundles
+from masksim.escrow import (MICRO_PER_TOKEN, EscrowBank, EscrowFault,
+                            PenaltyPolicy, Transfer, micro_to_str,
+                            replay_records, to_micro)
+from masksim.records import MAX_AMOUNT, decode_bundle, encode_bundles
 from masksim.ledger import MAX_PAYLOAD, ChannelMode, MamChannel, Tangle, mam_fetch
 
 
@@ -33,6 +36,68 @@ def test_to_micro_half_even():
     assert to_micro(0.0234375) == 23438
     with pytest.raises(ValueError):
         to_micro(-1.0)
+
+
+def decimal_to_micro(tokens) -> int:
+    """``to_micro`` as it was first written, in ``Decimal``: the oracle."""
+    return int(Decimal(tokens).scaleb(6).quantize(Decimal(1),
+                                                  rounding=ROUND_HALF_EVEN))
+
+
+def nudged(x: float, ulps: int) -> float:
+    """``x`` moved by ``ulps`` representable doubles, not below zero."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+MAX_TOKENS = MAX_AMOUNT / MICRO_PER_TOKEN
+# (2j + 1) / 128 tokens is exactly (2j + 1) * 7812.5 micro-tokens: a tie
+HALF_MICRO_TIES = st.integers(0, int(MAX_TOKENS * 64) - 1).map(
+    lambda j: (2 * j + 1) / 128)
+TOKEN_AMOUNTS = st.one_of(
+    st.floats(0.0, MAX_TOKENS),
+    st.floats(0.0, 2.2250738585072014e-308),            # subnormals
+    st.tuples(st.sampled_from([5e-7, 1.5e-6, 2.5e-6]),
+              st.integers(-4, 4)).map(lambda t: nudged(*t)),
+    HALF_MICRO_TIES,
+    st.tuples(HALF_MICRO_TIES, st.integers(-2, 2)).map(lambda t: nudged(*t)),
+    st.integers(0, MAX_AMOUNT // MICRO_PER_TOKEN),
+)
+
+
+@settings(max_examples=2000)
+@given(TOKEN_AMOUNTS)
+@example(-0.0)
+@example(5e-324)
+@example(MAX_TOKENS)
+@example(MAX_AMOUNT // MICRO_PER_TOKEN)
+def test_to_micro_equals_decimal_oracle(tokens):
+    assert to_micro(tokens) == decimal_to_micro(tokens)
+
+
+@settings(max_examples=300)
+@given(rho=st.floats(0.0, 1.0),
+       stakes=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4))
+# 0.1 and 0.3 of 5 micro-tokens are ties in decimal but not in binary
+@example(rho=0.1, stakes=[5e-06, 0.0])
+@example(rho=0.3, stakes=[5e-06, 0.0])
+def test_partial_return_equals_decimal_of_str_rho(rho, stakes):
+    """Each partial return is ``Decimal(str(rho))`` times the cumulative
+    forfeitures, rounded half even, with ``rho`` converted once per bank."""
+    b = bank(PenaltyPolicy.ADAPTIVE_WITH_RETURN, {"a": 1000.0}, rho=rho)
+    b.deposit("a", stakes[0], step=1)
+    for step, stake in enumerate(stakes[1:], start=2):
+        b.settle_step("a", 0, stake, step)       # forfeit, then re-stake
+    for step in range(len(stakes) + 1, len(stakes) + 4):
+        forfeited = b.forfeited["a"]
+        b.settle_step("a", 1, 0.0, step)         # refund, return, re-stake
+        want = int((Decimal(str(rho)) * forfeited)
+                   .quantize(Decimal(1), rounding=ROUND_HALF_EVEN))
+        got = [t.amount_micro for t in b.transfers
+               if t.step == step and t.kind == "partial_return"]
+        assert got == ([want] if want else [])
+        assert b.forfeited["a"] == forfeited - want
 
 
 def test_micro_to_str_exact():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from masksim.positioning import (Anchor, ExchangeError, SPEED_OF_LIGHT,
-                                 TwrTimestamps, distance,
+from masksim.positioning import (GN_MAX_ITERATIONS, Anchor, ExchangeError,
+                                 SPEED_OF_LIGHT, TwrTimestamps, distance,
                                  locate_from_exchanges, multilaterate,
                                  simulate_exchange, time_of_flight)
+from masksim.scenario import DEFAULT_ANCHORS, HilConfig
 
 NS = 1e-9
 
@@ -158,6 +159,50 @@ def test_noisy_rmse_within_spec():
         sq_err.append((fix.position[0] - p[0]) ** 2 + (fix.position[1] - p[1]) ** 2)
     rmse = float(np.sqrt(np.mean(sq_err)))
     assert rmse < 0.15
+
+
+def test_fix_ten_centimetres_from_an_anchor():
+    # the hil-replay wearer of the closed-loop benchmark's seed 909 at step
+    # 39, 10 cm from the anchor at (20, 10): Gauss-Newton creeps (each
+    # step ~0.8 of the last) and used to give up after 50 steps
+    truth = (19.901255115623037, 9.978360862333945)
+    d = [22.28263921594496, 9.938889231832361, 19.800908319142756,
+         0.019667991254645176]
+    fix = multilaterate(DEFAULT_ANCHORS, d)
+    assert fix.converged and fix.iterations > GN_MAX_ITERATIONS
+    assert np.hypot(fix.position[0] - truth[0],
+                    fix.position[1] - truth[1]) < 0.01
+
+
+def hil_distances(p, rng) -> list[float]:
+    """Distances to the default anchors as a hil-replay run measures them."""
+    hil = HilConfig()
+    out = []
+    for ax, ay in DEFAULT_ANCHORS:
+        ts = simulate_exchange(float(np.hypot(p[0] - ax, p[1] - ay)),
+                               reply_delay=hil.reply_delay,
+                               final_delay=hil.final_delay,
+                               jitter=hil.ranging_jitter, rng=rng)
+        out.append(distance(max(0.0, time_of_flight(ts))))
+    return out
+
+
+def test_fixes_within_half_a_metre_of_each_anchor():
+    rng = np.random.default_rng(909)
+    fixed = tried = 0
+    for ax, ay in DEFAULT_ANCHORS:
+        # inward from the corner anchor, radius uniform in [0, 0.5] m so
+        # the hardest ground, right beside the anchor, is well sampled
+        inward = np.array([1.0 if ax == 0 else -1.0, 1.0 if ay == 0 else -1.0])
+        for _ in range(500):
+            r, theta = rng.uniform(0.0, 0.5), rng.uniform(0.0, np.pi / 2)
+            p = np.array([ax, ay]) + inward * r * np.array(
+                [np.cos(theta), np.sin(theta)])
+            fix = multilaterate(DEFAULT_ANCHORS, hil_distances(p, rng))
+            tried += 1
+            fixed += bool(fix.converged and np.hypot(
+                fix.position[0] - p[0], fix.position[1] - p[1]) <= 0.5)
+    assert fixed >= 0.999 * tried, f"{tried - fixed} of {tried} without a fix"
 
 
 def test_full_pipeline_exchanges_to_fix():

@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from masksim import cli
-from masksim.bus import Gateway
+from masksim import bus, cli, crypto, escrow
+from masksim.bus import Gateway, MessageBus
 from masksim.cli import main
 from masksim.escrow import EscrowBank, PenaltyPolicy, replay_records
-from masksim.ledger import Tangle, mam_fetch
+from masksim.ledger import MamChannel, Tangle, mam_fetch
 from masksim.records import decode_status
 from masksim.runner import (agent_ids, detector_bits, escrow_channel,
                             read_replay_csv, run_hil_replay, run_scenario)
@@ -206,6 +206,55 @@ def test_fixed_penalty_policy_settles_at_exit():
     res = run_scenario(cfg)
     assert res.bank.conservation_ok()
     assert not res.bank.balances.active_bonds   # every bond settled at exit
+
+
+# Calls of one in-memory controller run, 40 agents x 20 steps under
+# adaptive_with_return, counted at the functions a benchmark trace wraps:
+# per status one bus message, one bridge record, one channel message and
+# one append, five SHA-256 (content id, nonce and next address on write,
+# nonce and next address on read), one encryption and one decryption;
+# then the cost vectors, the escrow bundles, and the final replay and
+# verify.  A faster hot path must neither skip this work nor go around
+# these functions.
+CALL_BUDGET = {
+    "MessageBus.publish": 800,
+    "encode_bridge_record": 800,
+    "MamChannel.publish": 841,
+    "Tangle.append": 841,
+    "Tangle.transactions_at": 1_662,
+    "crypto.digest": 6_030,
+    "crypto.encrypt": 800,
+    "crypto.decrypt": 800,
+    "to_micro": 880,
+}
+
+
+def test_closed_loop_call_budget(monkeypatch):
+    seams = {"MessageBus.publish": (MessageBus, "publish"),
+             "encode_bridge_record": (bus, "encode_bridge_record"),
+             "MamChannel.publish": (MamChannel, "publish"),
+             "Tangle.append": (Tangle, "append"),
+             "Tangle.transactions_at": (Tangle, "transactions_at"),
+             "crypto.digest": (crypto, "digest"),
+             "crypto.encrypt": (crypto, "encrypt"),
+             "crypto.decrypt": (crypto, "decrypt"),
+             "to_micro": (escrow, "to_micro")}
+    counts = dict.fromkeys(seams, 0)
+    for label, (owner, name) in seams.items():
+        def counting(*args, _label=label, _real=getattr(owner, name),
+                     **kwargs):
+            counts[_label] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    cfg = make_config(steps=20, world={"n_agents": 40,
+                                       "mask_mode": "controller",
+                                       "initial_infected": 2},
+                      escrow={"policy": "adaptive_with_return",
+                              "initial_balance": 50.0})
+    res = run_scenario(cfg)
+    assert res.summary.bridge["bridged"] == 800
+    assert counts == CALL_BUDGET
 
 
 # =============================================================================
