@@ -8,9 +8,9 @@ produces six timestamps, three per device clock.  The four-term average
 
 cancels the constant clock offset between the two devices; distance is then
 ToF times the speed of light.  A position is solved from distances to at
-least three non-collinear fixed anchors by Gauss-Newton least squares on
-the range residuals, initialized at the anchor centroid; see
-:func:`multilaterate` for when it stops.
+least three non-collinear fixed anchors by one damped Newton descent on
+the squared range error from the anchor centroid; see :func:`multilaterate`
+for when it stops and when no fix comes back.
 
 ``simulate_exchange`` is the hardware stand-in: it fabricates the six
 timestamps for a given true distance, processing delays, clock offset and
@@ -20,16 +20,17 @@ optional per-timestamp jitter, and is an exact inverse of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0   # m/s
 
-GN_MAX_ITERATIONS = 50           # per phase: Gauss-Newton, then Newton
-GN_STEP_TOLERANCE = 1e-10        # meters
-GN_COST_TOLERANCE = 1e-12        # relative fall of the squared range error
-GN_MAX_HALVINGS = 40
+MAX_ITERATIONS = 50
+STEP_TOLERANCE = 1e-10           # meters
+COST_TOLERANCE = 1e-12           # relative fall of the squared range error
+MAX_HALVINGS = 40
 
 
 class ExchangeError(ValueError):
@@ -128,39 +129,61 @@ class FixResult:
     reason: str = ""
 
 
-def _collinear(anchors: np.ndarray) -> bool:
-    centered = anchors - anchors.mean(axis=0)
+def collinear(anchors) -> bool:
+    """Whether the anchors lie on one line (coincident ones included), which
+    leaves a 2-D position undetermined."""
+    centered = anchors - np.mean(anchors, axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
     return s[-1] <= 1e-9 * max(s[0], 1.0)
 
 
-def _linearize(x: np.ndarray, a: np.ndarray, d: np.ndarray):
-    """Range residuals at ``x``, their Jacobian and the ranges."""
+def _residuals(x: np.ndarray, a: np.ndarray, d: np.ndarray):
+    """Range residuals at ``x``, the unit vectors from the anchors to ``x``
+    (the residuals' Jacobian) and the ranges."""
     diff = x - a
-    ranges = np.linalg.norm(diff, axis=1)
+    ranges = np.hypot(diff[:, 0], diff[:, 1])
     ranges = np.maximum(ranges, 1e-12)   # guard: estimate on an anchor
     return ranges - d, diff / ranges[:, None], ranges
 
 
-def _cost(x, a, d) -> float:
-    """The squared range error ``sum_k (|x - a_k| - d_k)^2``."""
-    residuals, _, _ = _linearize(x, a, d)
-    return float(residuals @ residuals)
+def _newton_step(r: np.ndarray, u: np.ndarray, rho: np.ndarray):
+    """The Newton step on the squared range error, or the Gauss-Newton step
+    where the Hessian is not positive definite, and the fall in the error
+    that the step's quadratic model predicts.
+
+    The Hessian adds to Gauss-Newton's ``J^T J`` each range's curvature,
+    ``r_k / rho_k (I - u_k u_k^T)``, which grows near an anchor and turns
+    indefinite closer to one than its measured distance.
+    """
+    bend = r / rho
+    g0, g1 = (u.T @ r).tolist()
+    (h00, h01), (_, h11) = ((u * (1.0 - bend)[:, None]).T @ u).tolist()
+    curvature = float(bend.sum())
+    h00, h11 = h00 + curvature, h11 + curvature
+    det = h00 * h11 - h01 * h01
+    if not (h00 > 0 and det > 0):
+        (h00, h01), (_, h11) = (u.T @ u).tolist()
+        det = h00 * h11 - h01 * h01
+    step = np.array([h01 * g1 - h11 * g0, h01 * g0 - h00 * g1]) / det
+    return step, -(g0 * step[0] + g1 * step[1])
 
 
 def multilaterate(anchors, distances) -> FixResult:
     """Least-squares 2-D position from anchor distances.
 
-    Minimizes ``sum_k (|x - a_k| - d_k)^2`` by Gauss-Newton from the anchor
-    centroid, and stops at a step shorter than :data:`GN_STEP_TOLERANCE`.
-    Near an anchor Gauss-Newton can creep or zigzag instead: it drops the
-    curvature of the ranges, which grows as the estimate nears an anchor.
-    A solve still going after :data:`GN_MAX_ITERATIONS` steps goes on with
-    :func:`_newton_descent`, which keeps that curvature, halves a step
-    until it lowers the error, and stops at a step that short or a
-    stationary cost.  No fix comes back, with a diagnostic, for fewer than
-    3 anchors, collinear anchors, or an error still falling after
-    :data:`GN_MAX_ITERATIONS` steps of both phases.
+    Minimizes the squared range error ``sum_k (|x - a_k| - d_k)^2`` by one
+    damped Newton descent from the anchor centroid (see
+    :func:`_newton_step`).  A step is halved until it lowers the error.
+    The descent stops at a step shorter than :data:`STEP_TOLERANCE`, a
+    fall of the error within a relative :data:`COST_TOLERANCE` (a step
+    whose predicted fall is that small is taken whole: the error's rounding
+    cannot judge it), or when halving finds no lower error before the step
+    is that short or within :data:`MAX_HALVINGS` halvings.  ``iterations``
+    counts the Newton steps tried, the last one included.
+
+    No fix comes back, with the reason, for fewer than 3 anchors, collinear
+    anchors, a squared range error too large to be finite, or an error
+    still falling after :data:`MAX_ITERATIONS` steps.
     """
     a = np.asarray(anchors, dtype=float)
     d = np.asarray(distances, dtype=float)
@@ -172,66 +195,40 @@ def multilaterate(anchors, distances) -> FixResult:
         return FixResult(None, float("nan"), 0, False, "fewer than 3 anchors")
     if np.any(d < 0):
         raise ValueError("distances are non-negative")
-    if _collinear(a):
+    if collinear(a):
         return FixResult(None, float("nan"), 0, False, "anchors are collinear")
 
     x = a.mean(axis=0)
-    iterations = 0
-    for iterations in range(1, GN_MAX_ITERATIONS + 1):
-        residuals, jac, _ = _linearize(x, a, d)
-        step_vec, *_ = np.linalg.lstsq(jac, -residuals, rcond=None)
-        x = x + step_vec
-        if np.linalg.norm(step_vec) < GN_STEP_TOLERANCE:
-            break
-    else:
-        x, extra = _newton_descent(x, a, d)
-        iterations += extra
-        if x is None:
-            return FixResult(None, float("nan"), iterations, False,
-                             "did not converge")
-
-    final = np.maximum(np.linalg.norm(x - a, axis=1), 1e-12) - d
-    rms = float(np.sqrt(np.mean(final**2)))
-    return FixResult((float(x[0]), float(x[1])), rms, iterations, True)
-
-
-def _newton_descent(x, a, d) -> tuple[np.ndarray | None, int]:
-    """Newton's method on the squared range error from ``x``; returns the
-    point and the steps taken, or ``None`` and the steps if the error still
-    falls after :data:`GN_MAX_ITERATIONS` steps.
-
-    The Hessian adds to Gauss-Newton's ``J^T J`` each range's curvature,
-    ``r_k / rho_k (I - u_k u_k^T)``.  It turns indefinite where the
-    estimate is closer to an anchor than the measured distance, so the step
-    divides by the absolute value of each eigenvalue: a Newton step where
-    the Hessian is positive definite, downhill off a saddle where it is not
-    (saddle-free Newton).  A step is halved until it lowers the error; the
-    descent stops at a step shorter than :data:`GN_STEP_TOLERANCE`, a fall
-    of the error within a relative :data:`GN_COST_TOLERANCE`, or no lower
-    error within :data:`GN_MAX_HALVINGS` halvings (a stationary cost).
-    """
-    cost = _cost(x, a, d)
-    for iterations in range(1, GN_MAX_ITERATIONS + 1):
-        residuals, jac, ranges = _linearize(x, a, d)
-        bend = residuals / ranges
-        hess = (jac * (1.0 - bend)[:, None]).T @ jac + bend.sum() * np.eye(2)
-        curv, axes = np.linalg.eigh(hess)
-        curv = np.maximum(np.abs(curv), 1e-12 * np.abs(curv).max())
-        step_vec = -axes @ ((axes.T @ (jac.T @ residuals)) / curv)
-        for _ in range(GN_MAX_HALVINGS):
-            trial = x + step_vec
-            trial_cost = _cost(trial, a, d)
-            if trial_cost < cost:
+    # ranges whose squares overflow give a non-finite error, checked next;
+    # an overflowing step gives a trial that the line search rejects
+    with np.errstate(all="ignore"):
+        r, u, rho = _residuals(x, a, d)
+        cost = float(r @ r)
+        if not np.isfinite(cost):
+            return FixResult(None, float("nan"), 0, False,
+                             "range error is not finite")
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            step, model_fall = _newton_step(r, u, rho)
+            # a fall this small is within the rounding of the error, so the
+            # error cannot judge the step: it is taken whole, and is the last
+            settled = model_fall <= COST_TOLERANCE * cost
+            for _ in range(MAX_HALVINGS):
+                trial = _residuals(x + step, a, d)
+                trial_cost = float(trial[0] @ trial[0])
+                if (settled or trial_cost < cost
+                        or math.hypot(*step) < STEP_TOLERANCE):
+                    break
+                step = step / 2
+            if not (settled or trial_cost < cost):
                 break
-            step_vec = step_vec / 2
+            x, (r, u, rho), cost = x + step, trial, trial_cost
+            if settled or math.hypot(*step) < STEP_TOLERANCE:
+                break
         else:
-            return x, iterations
-        fall = cost - trial_cost
-        x, cost = trial, trial_cost
-        if (np.linalg.norm(step_vec) < GN_STEP_TOLERANCE
-                or fall <= GN_COST_TOLERANCE * cost):
-            return x, iterations
-    return None, GN_MAX_ITERATIONS
+            return FixResult(None, float("nan"), MAX_ITERATIONS, False,
+                             "did not converge")
+    rms = math.sqrt(cost / len(d))
+    return FixResult((float(x[0]), float(x[1])), rms, iterations, True)
 
 
 def locate_from_exchanges(anchors: list[Anchor],

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from .controller import ControllerParams, make_link
 from .epidemic import WorldConfig
 from .escrow import MICRO_PER_TOKEN, PenaltyPolicy
+from .positioning import collinear
 from .records import MAX_AMOUNT
 from .sensing import CombineRule, DetectorConfig
 
@@ -43,13 +44,21 @@ def _is_finite_number(value) -> bool:
 
 
 # what a JSON value must be for a field of each annotated type; fields of
-# other types (enums, pairs, the link) are parsed by their section's helper
+# other types (enums, pairs) are parsed by their section's helper
 _TYPE_CHECKS = {
     int: (_is_integer, "an integer"),
     float: (_is_finite_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
 }
+
+
+@dataclass
+class LinkConfig:
+    """The controller's link as a scenario names it; see ``make_link``."""
+    name: str = "logistic"
+    scale: float = 1.0
+    shift: float = 0.0
 
 
 @dataclass
@@ -112,14 +121,23 @@ class ScenarioConfig:
             raise ConfigError("steps: must be an integer >= 1")
         if len(self.anchors) < 3:
             raise ConfigError("anchors: at least 3 anchors required")
+        if collinear(self.anchors):
+            raise ConfigError("anchors: all on one line (or coincident), "
+                              "which leaves a position fix undetermined")
         if self.hil.agent_index >= self.world.n_agents:
             raise ConfigError("hil.agent_index: no such agent")
 
 
-def _build_section(cls, doc: dict, path: str, **fixed):
-    """Instantiate a config dataclass from a JSON object, strictly."""
+def _section(doc, path: str) -> dict:
+    """A copy of the JSON object at ``path``, for its parser to edit."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
+    return dict(doc)
+
+
+def _build_section(cls, doc: dict, path: str, **fixed):
+    """Instantiate a config dataclass from a JSON object, strictly."""
+    doc = _section(doc, path)
     allowed = {f.name for f in fields(cls)} - set(fixed)
     unknown = set(doc) - allowed
     if unknown:
@@ -145,24 +163,24 @@ def _number_pair(item, path: str, expected: str) -> tuple[float, float]:
 
 
 def _parse_world(doc: dict, seed: int) -> WorldConfig:
-    doc = dict(doc)
+    doc = _section(doc, "world")
     if "room" in doc:
         doc["room"] = _number_pair(doc["room"], "world.room", "[width, height]")
     return _build_section(WorldConfig, doc, "world", seed=seed)
 
 
 def _parse_controller(doc: dict) -> ControllerParams:
-    doc = dict(doc)
-    link_spec = doc.pop("link", None)
+    doc = _section(doc, "controller")
+    spec = _build_section(LinkConfig, doc.pop("link", {}), "controller.link")
     try:
-        link = make_link(link_spec)
+        link = make_link(vars(spec))
     except ValueError as exc:
         raise ConfigError(f"controller.link: {exc}") from exc
     return _build_section(ControllerParams, doc, "controller", link=link)
 
 
 def _parse_escrow(doc: dict) -> EscrowConfig:
-    doc = dict(doc)
+    doc = _section(doc, "escrow")
     if "policy" in doc:
         try:
             doc["policy"] = PenaltyPolicy(doc["policy"])
@@ -174,7 +192,7 @@ def _parse_escrow(doc: dict) -> EscrowConfig:
 
 
 def _parse_detector(doc: dict) -> DetectorConfig:
-    doc = dict(doc)
+    doc = _section(doc, "detector")
     if "combine" in doc:
         try:
             doc["combine"] = CombineRule(str(doc["combine"]).lower())

@@ -433,6 +433,23 @@ WORLD = {"n_agents": 8, "mask_mode": "controller"}
     pytest.param({"steps": 2.7}, [], "steps", id="steps-fraction"),
     pytest.param({"escrow": {"initial_balance": 1e14}}, [],
                  "escrow", id="balance-beyond-escrow-record"),
+    pytest.param({"controller": [1]}, [], "controller",
+                 id="controller-not-object"),
+    pytest.param({"detector": "x"}, [], "detector", id="detector-not-object"),
+    pytest.param({"controller": {"link": []}}, [], "controller.link",
+                 id="link-not-object"),
+    pytest.param({"controller": {"link": {"name": "scaled_logistic",
+                                          "scale": [1]}}}, [],
+                 "controller.link.scale", id="link-scale-list"),
+    pytest.param({"controller": {"link": {"name": "scaled_logistic",
+                                          "scale": float("inf")}}}, [],
+                 "controller.link.scale", id="link-scale-inf"),
+    pytest.param({"controller": {"link": {"name": "logistic", "extra": 2}}},
+                 [], "controller.link.extra", id="link-unknown-field"),
+    pytest.param({"anchors": [[0, 0], [10, 0], [20, 0]]}, [], "anchors",
+                 id="anchors-collinear"),
+    pytest.param({"anchors": [[5, 5], [5, 5], [5, 5]]}, [], "anchors",
+                 id="anchors-coincident"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, over, args,
                                                 field):
@@ -658,6 +675,18 @@ def test_cli_position_non_finite_anchor_exit_2(tmp_path, capsys, anchors):
     assert main(["position", str(path), "--anchors", anchors]) == 2
     err = capsys.readouterr().err
     assert "--anchors" in err and "Traceback" not in err
+
+
+def test_cli_position_non_finite_range_error_no_fix(tmp_path, capsys):
+    # distances whose squared error overflows: a no-fix row, not a fix with
+    # an infinite residual
+    path = tmp_path / "ranges.csv"
+    path.write_text("fix_id,anchor_id,distance_m\n"
+                    + "".join(f"f,{i},1e200\n" for i in range(4)))
+    assert main(["position", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "f,,,,0,0"
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_cli_position_skips_non_finite_distance(tmp_path, capsys, caplog):
