@@ -9,7 +9,7 @@ layer.  Everything is reproducible bit-for-bit from a single seed.
 
 from .bus import Gateway, MessageBus
 from .controller import (ComplianceController, ControllerParams, LOGISTIC,
-                         MonotoneLink, simulate_compliance)
+                         Link, simulate_compliance)
 from .epidemic import EpidemicSeries, Health, World, WorldConfig
 from .escrow import EscrowBank, PenaltyPolicy
 from .ledger import (ChannelMode, ChannelReader, MamChannel, Tangle,
@@ -25,9 +25,9 @@ __all__ = [
     "Anchor", "ChannelMode", "ChannelReader", "CombineRule",
     "ComplianceController", "ControllerParams", "DetectorConfig",
     "EpidemicSeries", "EscrowBank", "FixResult", "GasSample", "Gateway",
-    "Health", "LOGISTIC", "MamChannel", "MaskDetector", "MessageBus",
-    "MonotoneLink", "PenaltyPolicy", "StreamLevels", "Tangle",
-    "TwrTimestamps", "World", "WorldConfig", "channel_address", "distance",
-    "mam_fetch", "multilaterate", "simulate_compliance", "simulate_exchange",
+    "Health", "LOGISTIC", "Link", "MamChannel", "MaskDetector", "MessageBus",
+    "PenaltyPolicy", "StreamLevels", "Tangle", "TwrTimestamps", "World",
+    "WorldConfig", "channel_address", "distance", "mam_fetch",
+    "multilaterate", "simulate_compliance", "simulate_exchange",
     "synth_stream", "time_of_flight",
 ]

@@ -22,11 +22,10 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .positioning import TwrTimestamps, distance, multilaterate, time_of_flight
 from .runner import InvariantBreach, inspect_snapshot, run_hil_replay, run_scenario
-from .scenario import DEFAULT_ANCHORS, ConfigError, load_scenario
+from .scenario import DEFAULT_ANCHORS, ConfigError, load_scenario, parse_anchors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,20 +42,12 @@ def _setup_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _apply_overrides(config, args):
-    """``--seed``/``--steps`` on top of the file; ``replace`` re-runs the
-    dataclass checks, so an override is validated like the file."""
-    if args.seed is not None:
-        config = replace(config, seed=args.seed,
-                         world=replace(config.world, seed=args.seed))
-    if args.steps is not None:
-        config = replace(config, steps=args.steps)
-    return config
-
-
 def _load(args):
+    # ``--seed``/``--steps`` replace the file's fields before the one parse
+    overrides = {name: getattr(args, name) for name in ("seed", "steps")
+                 if getattr(args, name) is not None}
     try:
-        return _apply_overrides(load_scenario(args.config), args)
+        return load_scenario(args.config, overrides)
     except OSError as exc:
         print(f"i/o error: cannot read config: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from None
@@ -127,14 +118,13 @@ def cmd_ledger_inspect(args) -> int:
     return EXIT_OK
 
 
-def _parse_anchor_arg(text: str) -> list[tuple[float, float]]:
-    anchors = []
-    for part in text.split(";"):
-        x, y = map(float, part.split(","))
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("non-finite anchor coordinate")
-        anchors.append((x, y))
-    return anchors
+def _parse_anchor_arg(text: str) -> list[list[float]]:
+    """``x1,y1;x2,y2;...`` split into [x, y] pairs for the scenario's
+    anchor rule (:func:`parse_anchors`) to check."""
+    try:
+        return [[float(v) for v in part.split(",")] for part in text.split(";")]
+    except ValueError:
+        raise ConfigError("--anchors: expected 'x1,y1;x2,y2;...'") from None
 
 
 DISTANCE_HEADER = ["fix_id", "anchor_id", "distance_m"]
@@ -144,11 +134,10 @@ TIMESTAMP_HEADER = ["fix_id", "anchor_id", "t_sp", "t_rp", "t_sr", "t_rr",
 
 def cmd_position(args) -> int:
     try:
-        anchors = (_parse_anchor_arg(args.anchors) if args.anchors
-                   else list(DEFAULT_ANCHORS))
-    except ValueError:
-        print("error: --anchors expects finite 'x1,y1;x2,y2;...'",
-              file=sys.stderr)
+        anchors = (parse_anchors(_parse_anchor_arg(args.anchors), "--anchors")
+                   if args.anchors is not None else list(DEFAULT_ANCHORS))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         with open(args.file, "r", encoding="utf-8", newline="") as fh:
@@ -211,6 +200,7 @@ def cmd_position(args) -> int:
                 out.write(f"{fix_id},{fix.position[0]!r},{fix.position[1]!r},"
                           f"{fix.rms_residual!r},{fix.iterations},1\n")
             else:
+                log.warning("no position fix for %s: %s", fix_id, fix.reason)
                 out.write(f"{fix_id},,,,{fix.iterations},0\n")
     finally:
         if out is not sys.stdout:

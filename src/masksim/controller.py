@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -39,18 +39,6 @@ from .records import decode_cost_vector, encode_cost_vector
 # Monotone links
 # =============================================================================
 
-@dataclass(frozen=True)
-class MonotoneLink:
-    """A named monotone increasing map from the reals into [0, 1]."""
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.fn(arr)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-
 def _stable_logistic(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -60,30 +48,30 @@ def _stable_logistic(x: np.ndarray) -> np.ndarray:
     return out
 
 
-LOGISTIC = MonotoneLink("logistic", _stable_logistic)
+@dataclass(frozen=True)
+class Link:
+    """The monotone increasing map ``x -> logistic((x - shift) / scale)``
+    from the reals into [0, 1]; ``name`` is only a label, ``"logistic"`` or
+    ``"scaled_logistic"``.  At the defaults it is the plain logistic, bit
+    for bit: ``x - 0.0`` and ``x / 1.0`` are exact."""
+    name: str = "logistic"
+    scale: float = 1.0
+    shift: float = 0.0
+
+    def __post_init__(self):
+        if self.name not in ("logistic", "scaled_logistic"):
+            raise ValueError(f"unknown link {self.name!r}; expected "
+                             f"'logistic' or 'scaled_logistic'")
+        if not self.scale > 0:
+            raise ValueError("scale must be positive to keep the link monotone")
+
+    def __call__(self, x):
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        out = _stable_logistic((arr - self.shift) / self.scale)
+        return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def scaled_logistic(scale: float, shift: float) -> MonotoneLink:
-    """Logistic squashed/translated for calibration; scale must stay > 0."""
-    if scale <= 0:
-        raise ValueError("scale must be positive to keep the link monotone")
-    return MonotoneLink(
-        f"scaled_logistic(scale={scale},shift={shift})",
-        lambda x: _stable_logistic((x - shift) / scale),
-    )
-
-
-def make_link(spec: Mapping | None) -> MonotoneLink:
-    """Build a link from its config form, e.g. ``{"name": "logistic"}``."""
-    if spec is None:
-        return LOGISTIC
-    name = spec.get("name", "logistic")
-    if name == "logistic":
-        return LOGISTIC
-    if name == "scaled_logistic":
-        return scaled_logistic(float(spec.get("scale", 1.0)),
-                               float(spec.get("shift", 0.0)))
-    raise ValueError(f"unknown link {name!r}")
+LOGISTIC = Link()
 
 
 # =============================================================================
@@ -97,7 +85,7 @@ class ControllerParams:
     gamma: float = 0.95    # discount window of (1-gamma)^-1 = 20 steps
     q_star: float = 0.9
     delay: int = 1
-    link: MonotoneLink = LOGISTIC
+    link: Link = LOGISTIC
     initial_global_cost: float = 0.0   # warm start; fresh deployments use 0
 
     def __post_init__(self):

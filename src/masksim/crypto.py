@@ -18,11 +18,6 @@ import hashlib
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-HASH_NAME = "sha256"
-DIGEST_SIZE = 32
-
-AEAD_NAME = "chacha20poly1305"
-AEAD_KEY_SIZE = 32
 AEAD_NONCE_SIZE = 12
 AEAD_TAG_SIZE = 16
 
@@ -32,11 +27,6 @@ _sha256 = hashlib.sha256
 def digest(*parts: bytes) -> bytes:
     """SHA-256 over the concatenation of ``parts``."""
     return _sha256(b"".join(parts)).digest()
-
-
-def derive_key(label: bytes, *parts: bytes) -> bytes:
-    """Derive a 32-byte subkey, domain-separated by ``label``."""
-    return digest(label, *parts)
 
 
 def cipher(key: bytes) -> ChaCha20Poly1305:

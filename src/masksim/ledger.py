@@ -174,12 +174,16 @@ class Tangle:
         with self._lock:
             return set(self._tips)
 
+    def _draw_tips(self, rng: random.Random) -> tuple[bytes, bytes]:
+        """Two tips drawn uniformly with replacement (duplicates allowed);
+        the caller holds the lock."""
+        pool = list(self._tips)
+        return rng.choice(pool), rng.choice(pool)
+
     def select_tips(self, rng: random.Random | None = None) -> tuple[bytes, bytes]:
         """Sample two tips uniformly with replacement (duplicates allowed)."""
-        r = rng if rng is not None else self._rng
         with self._lock:
-            pool = list(self._tips)
-            return r.choice(pool), r.choice(pool)
+            return self._draw_tips(rng if rng is not None else self._rng)
 
     def append(self, payload: bytes, channel_address: bytes | None = None,
                parents: tuple[bytes, bytes] | None = None) -> bytes:
@@ -198,10 +202,7 @@ class Tangle:
         with self._lock:
             txs = self.transactions
             if parents is None:
-                # as ``select_tips`` draws them, without taking the lock again
-                pool = list(self._tips)
-                choice = self._rng.choice
-                parents = (choice(pool), choice(pool))
+                parents = self._draw_tips(self._rng)
             else:
                 if len(parents) != 2:
                     raise LedgerError("exactly two parents required")
@@ -448,7 +449,8 @@ def _next_address(address: bytes) -> bytes:
 
 
 def _message_key(base_address: bytes, side_key: bytes) -> bytes:
-    return crypto.derive_key(_KEY_DOMAIN, base_address, side_key)
+    """The channel's 32-byte AEAD key, domain-separated by its label."""
+    return crypto.digest(_KEY_DOMAIN, base_address, side_key)
 
 
 def _message_nonce(base_address: bytes, index_bytes: bytes) -> bytes:

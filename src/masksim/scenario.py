@@ -1,25 +1,29 @@
 """Scenario configuration: one JSON file drives a whole reproducible run.
 
 The schema is versioned and strict: unknown fields are rejected with their
-full path, every value is validated by the owning module's dataclass, and
-the seed is mandatory at the top level (runs never draw wall-clock
-entropy).  All sections are optional and default to the module defaults;
-the seed is threaded into every subsystem from the single top-level value.
+full path, every value is read by its field's type annotation (one parser,
+``_section``, serves every section) and validated by the owning module's
+dataclass, and the seed is mandatory at the top level (runs never draw
+wall-clock entropy).  All sections are optional and default to the module
+defaults; the seed is threaded into every subsystem from the single
+top-level value.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
+from enum import EnumMeta
 
-from .controller import ControllerParams, make_link
+from .controller import ControllerParams
 from .epidemic import WorldConfig
 from .escrow import MICRO_PER_TOKEN, PenaltyPolicy
 from .positioning import collinear
 from .records import MAX_AMOUNT
-from .sensing import CombineRule, DetectorConfig
+from .sensing import DetectorConfig
 
 SCHEMA_VERSION = 1
 
@@ -43,22 +47,13 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-# what a JSON value must be for a field of each annotated type; fields of
-# other types (enums, pairs) are parsed by their section's helper
+# what a JSON value must be for a field of each scalar annotated type
 _TYPE_CHECKS = {
     int: (_is_integer, "an integer"),
     float: (_is_finite_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
 }
-
-
-@dataclass
-class LinkConfig:
-    """The controller's link as a scenario names it; see ``make_link``."""
-    name: str = "logistic"
-    scale: float = 1.0
-    shift: float = 0.0
 
 
 @dataclass
@@ -119,130 +114,109 @@ class ScenarioConfig:
             raise ConfigError("seed: must be an integer in [0, 2**127)")
         if not _is_integer(self.steps) or self.steps < 1:
             raise ConfigError("steps: must be an integer >= 1")
-        if len(self.anchors) < 3:
-            raise ConfigError("anchors: at least 3 anchors required")
-        if collinear(self.anchors):
-            raise ConfigError("anchors: all on one line (or coincident), "
-                              "which leaves a position fix undetermined")
+        self.anchors = parse_anchors(self.anchors)
         if self.hil.agent_index >= self.world.n_agents:
             raise ConfigError("hil.agent_index: no such agent")
 
 
-def _section(doc, path: str) -> dict:
-    """A copy of the JSON object at ``path``, for its parser to edit."""
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+# resolved once per config class: resolving evaluates string annotations
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _value(tp, value, path: str, seed):
+    """``value`` read as a field annotated ``tp``, or a ConfigError naming
+    ``path``."""
+    if is_dataclass(tp):
+        return _section(tp, value, path, seed)
+    if isinstance(tp, EnumMeta):
+        # enum values are lower case; a file may write them in any case
+        allowed = [m.value for m in tp]
+        if isinstance(value, str) and value.lower() in allowed:
+            return tp(value.lower())
+        raise ConfigError(f"{path}: expected one of {allowed}, got {value!r}")
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return [_value(args[0], item, f"{path}[{i}]", seed)
+                for i, item in enumerate(value)]
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigError(f"{path}: expected a list of {len(args)} "
+                              f"values, got {value!r}")
+        return tuple(t(_value(t, item, f"{path}[{i}]", seed))
+                     for i, (t, item) in enumerate(zip(args, value)))
+    is_valid, expected = _TYPE_CHECKS[tp]
+    if not is_valid(value):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    return value
+
+
+def _section(cls, doc, path: str, seed):
+    """A config dataclass read from its JSON object at ``path``, each field
+    by its annotation.  Unknown fields are rejected; a ``seed`` field is not
+    read from the object but filled with the scenario's one seed."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
-    return dict(doc)
-
-
-def _build_section(cls, doc: dict, path: str, **fixed):
-    """Instantiate a config dataclass from a JSON object, strictly."""
-    doc = _section(doc, path)
-    allowed = {f.name for f in fields(cls)} - set(fixed)
-    unknown = set(doc) - allowed
+    hints = _hints(cls)
+    unknown = set(doc) - (hints.keys() - {"seed"})
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    hints = typing.get_type_hints(cls)
-    for name, value in doc.items():
-        is_valid, expected = _TYPE_CHECKS.get(hints[name], (None, None))
-        if is_valid is not None and not is_valid(value):
-            raise ConfigError(f"{path}.{name}: expected {expected}, "
-                              f"got {value!r}")
+        raise ConfigError(f"{_join(path, sorted(unknown)[0])}: unknown field")
+    kwargs = {}
+    for name, tp in hints.items():
+        if name == "seed":
+            kwargs[name] = seed
+        elif name in doc:
+            kwargs[name] = _value(tp, doc[name], _join(path, name), seed)
+        elif is_dataclass(tp):      # an absent section takes the seed too
+            kwargs[name] = _section(tp, {}, _join(path, name), seed)
     try:
-        return cls(**doc, **fixed)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _number_pair(item, path: str, expected: str) -> tuple[float, float]:
-    if not isinstance(item, (list, tuple)) or len(item) != 2:
-        raise ConfigError(f"{path}: expected {expected}")
-    if not all(_is_finite_number(v) for v in item):
-        raise ConfigError(f"{path}: expected {expected} as finite numbers")
-    return float(item[0]), float(item[1])
-
-
-def _parse_world(doc: dict, seed: int) -> WorldConfig:
-    doc = _section(doc, "world")
-    if "room" in doc:
-        doc["room"] = _number_pair(doc["room"], "world.room", "[width, height]")
-    return _build_section(WorldConfig, doc, "world", seed=seed)
-
-
-def _parse_controller(doc: dict) -> ControllerParams:
-    doc = _section(doc, "controller")
-    spec = _build_section(LinkConfig, doc.pop("link", {}), "controller.link")
-    try:
-        link = make_link(vars(spec))
-    except ValueError as exc:
-        raise ConfigError(f"controller.link: {exc}") from exc
-    return _build_section(ControllerParams, doc, "controller", link=link)
-
-
-def _parse_escrow(doc: dict) -> EscrowConfig:
-    doc = _section(doc, "escrow")
-    if "policy" in doc:
-        try:
-            doc["policy"] = PenaltyPolicy(doc["policy"])
-        except ValueError:
-            raise ConfigError(
-                f"escrow.policy: unknown policy {doc['policy']!r}; expected one "
-                f"of {[p.value for p in PenaltyPolicy]}") from None
-    return _build_section(EscrowConfig, doc, "escrow")
-
-
-def _parse_detector(doc: dict) -> DetectorConfig:
-    doc = _section(doc, "detector")
-    if "combine" in doc:
-        try:
-            doc["combine"] = CombineRule(str(doc["combine"]).lower())
-        except ValueError:
-            raise ConfigError(
-                f"detector.combine: expected 'and' or 'or', "
-                f"got {doc['combine']!r}") from None
-    return _build_section(DetectorConfig, doc, "detector")
-
-
-def _parse_anchors(doc) -> list[tuple[float, float]]:
-    if not isinstance(doc, list):
-        raise ConfigError("anchors: expected a list of [x, y] pairs")
-    return [_number_pair(item, f"anchors[{i}]", "[x, y]")
-            for i, item in enumerate(doc)]
+def parse_anchors(value, path: str = "anchors") -> list[tuple[float, float]]:
+    """Anchors by the scenario's rule: [x, y] pairs of finite numbers, at
+    least 3 of them and not all on one line (nor at one point), which would
+    leave a position fix undetermined."""
+    anchors = _value(list[tuple[float, float]], value, path, None)
+    if len(anchors) < 3:
+        raise ConfigError(f"{path}: at least 3 anchors required")
+    if collinear(anchors):
+        raise ConfigError(f"{path}: all on one line (or coincident), "
+                          "which leaves a position fix undetermined")
+    return anchors
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    known = {"version", "seed", "steps", "world", "controller", "escrow",
-             "detector", "anchors", "hil", "outputs"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
-    version = doc.get("version", SCHEMA_VERSION)
+    doc = dict(doc)
+    version = doc.pop("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"version: unsupported schema version {version}")
     if "seed" not in doc:
         raise ConfigError("seed: required (runs never use wall-clock entropy)")
-    seed = doc["seed"]
-    return ScenarioConfig(
-        seed=seed,
-        steps=doc.get("steps", 100),
-        world=_parse_world(doc.get("world", {}), seed),
-        controller=_parse_controller(doc.get("controller", {})),
-        escrow=_parse_escrow(doc.get("escrow", {})),
-        detector=_parse_detector(doc.get("detector", {})),
-        anchors=(_parse_anchors(doc["anchors"]) if "anchors" in doc
-                 else list(DEFAULT_ANCHORS)),
-        hil=_build_section(HilConfig, doc.get("hil", {}), "hil"),
-        outputs=_build_section(OutputConfig, doc.get("outputs", {}), "outputs"),
-    )
+    return _section(ScenarioConfig, doc, "", doc.pop("seed"))
 
 
-def load_scenario(path) -> ScenarioConfig:
+def load_scenario(path, overrides=()) -> ScenarioConfig:
+    """The scenario in the JSON file at ``path``; ``overrides`` (a mapping
+    of top-level fields, as the CLI's ``--seed`` and ``--steps``) replace
+    the file's values before the one parse."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     # ValueError: bad JSON, bad UTF-8 or an int past the digit limit
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
+    if isinstance(doc, dict):
+        doc.update(overrides)
     return scenario_from_dict(doc)

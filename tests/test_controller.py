@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masksim.controller import (ComplianceController, ControllerParams,
-                                LOGISTIC, decode_cost_vector,
-                                encode_cost_vector, make_link,
-                                scaled_logistic, simulate_compliance)
+                                LOGISTIC, Link, decode_cost_vector,
+                                encode_cost_vector, simulate_compliance)
 
 
 # =============================================================================
@@ -209,9 +208,8 @@ def test_logistic_frozen_value():
     assert probs[0] == pytest.approx(0.880797, abs=1e-6)
 
 
-@pytest.mark.parametrize("link", [LOGISTIC, scaled_logistic(2.0, 1.0),
-                                  make_link({"name": "scaled_logistic",
-                                             "scale": 0.5, "shift": -2.0})])
+@pytest.mark.parametrize("link", [LOGISTIC, Link("scaled_logistic", 2.0, 1.0),
+                                  Link("scaled_logistic", 0.5, -2.0)])
 def test_link_monotone_and_bounded_on_grid(link):
     xs = np.linspace(-60, 60, 1000)
     ys = link(xs)
@@ -223,7 +221,7 @@ def test_link_monotone_and_bounded_on_grid(link):
 
 def test_scaled_logistic_rejects_nonpositive_scale():
     with pytest.raises(ValueError):
-        scaled_logistic(0.0, 0.0)
+        Link("scaled_logistic", 0.0, 0.0)
 
 
 def test_stake_amount_clamps_at_zero():

@@ -1,8 +1,13 @@
 """Scenario loading, closed-loop runs, HIL replay, CLI subcommands."""
 
 import csv
+import dataclasses
+import enum
+import functools
 import hashlib
 import json
+import math
+import typing
 
 import numpy as np
 import pytest
@@ -15,7 +20,8 @@ from masksim.ledger import MamChannel, Tangle, mam_fetch
 from masksim.records import decode_status
 from masksim.runner import (agent_ids, detector_bits, escrow_channel,
                             read_replay_csv, run_hil_replay, run_scenario)
-from masksim.scenario import ConfigError, load_scenario, scenario_from_dict
+from masksim.scenario import (ConfigError, ScenarioConfig, load_scenario,
+                              scenario_from_dict)
 from masksim.sensing import DetectorConfig, synth_stream
 
 
@@ -71,6 +77,83 @@ def test_malformed_json_is_config_error(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ConfigError):
         load_scenario(path)
+
+
+def test_the_one_seed_fills_absent_sections():
+    assert scenario_from_dict({"seed": 5}).world.seed == 5
+
+
+def test_load_scenario_overrides_replace_file_fields(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"seed": 3, "steps": 7}))
+    cfg = load_scenario(path, {"seed": 8, "steps": 2})
+    assert (cfg.seed, cfg.world.seed, cfg.steps) == (8, 8, 2)
+
+
+@pytest.mark.parametrize("name", ["logistic", "scaled_logistic"])
+def test_link_scale_and_shift_apply_under_either_name(name):
+    link = scenario_from_dict({"seed": 1, "controller": {"link": {
+        "name": name, "scale": 5.0, "shift": -1.0}}}).controller.link
+    assert link(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-0.4)), abs=1e-15)
+    with pytest.raises(ConfigError, match="controller.link: unknown link"):
+        scenario_from_dict({"seed": 1, "controller": {"link": {"name": "probit"}}})
+
+
+# The parser's contract, generated from the config dataclasses' annotations:
+# every field a scenario file can set, with its full path and its type.
+
+def scenario_fields(cls=ScenarioConfig, path=()):
+    for name, tp in typing.get_type_hints(cls).items():
+        if name == "seed":          # filled from the one top-level seed
+            continue
+        yield path + (name,), tp
+        if dataclasses.is_dataclass(tp):
+            yield from scenario_fields(tp, path + (name,))
+
+
+def json_kinds(tp):
+    """The JSON value kinds a field of annotation ``tp`` accepts."""
+    if dataclasses.is_dataclass(tp):
+        return {"object"}
+    if isinstance(tp, enum.EnumMeta) or tp is str:
+        return {"string"}
+    if typing.get_origin(tp) in (list, tuple):
+        return {"array"}
+    return {int: {"integer"}, float: {"integer", "fraction"},
+            bool: {"boolean"}}[tp]
+
+
+JSON_SAMPLES = {"null": None, "boolean": True, "integer": 1,
+                "fraction": 1.5, "string": "x", "array": [], "object": {}}
+FIELDS = list(scenario_fields())
+
+
+def nested(path, value):
+    doc = value
+    for name in reversed(path):
+        doc = {name: doc}
+    return {"seed": 1, **doc}
+
+
+@pytest.mark.parametrize("path,tp", FIELDS, ids=[".".join(p) for p, _ in FIELDS])
+def test_wrong_json_type_exits_2_naming_the_field(tmp_path, capsys, path, tp):
+    config = tmp_path / "s.json"
+    for kind, value in JSON_SAMPLES.items():
+        if kind in json_kinds(tp):
+            continue
+        config.write_text(json.dumps(nested(path, value)))
+        assert main(["simulate", str(config)]) == 2, kind
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {'.'.join(path)}: "), (kind, err)
+
+
+@pytest.mark.parametrize("path,tp", [
+    pytest.param(p, tp, id=".".join(p)) for p, tp in FIELDS
+    if isinstance(tp, enum.EnumMeta)])
+def test_enum_fields_load_in_upper_case(path, tp):
+    for member in tp:
+        cfg = scenario_from_dict(nested(path, member.value.upper()))
+        assert functools.reduce(getattr, path, cfg) is member
 
 
 # =============================================================================
@@ -668,7 +751,8 @@ def _write_ranges(path, anchors, point, extra=()):
 
 
 @pytest.mark.parametrize("anchors", ["nan,0;20,0;0,10", "0,0;inf,0;0,10",
-                                     "0,0;20,0;0,-inf"])
+                                     "0,0;20,0;0,-inf", "0,0;10,0;20,0",
+                                     "5,5;5,5;5,5", "0,0;1,1", ""])
 def test_cli_position_non_finite_anchor_exit_2(tmp_path, capsys, anchors):
     path = tmp_path / "ranges.csv"
     _write_ranges(path, [(0.0, 0.0), (20.0, 0.0), (0.0, 10.0)], (4.0, 3.0))
@@ -687,6 +771,15 @@ def test_cli_position_non_finite_range_error_no_fix(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines()[1] == "f,,,,0,0"
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_cli_position_logs_why_a_fix_failed(tmp_path, caplog):
+    path = tmp_path / "ranges.csv"
+    path.write_text("fix_id,anchor_id,distance_m\n"
+                    + "".join(f"f,{i},1e200\n" for i in range(4)))
+    assert main(["position", str(path)]) == 0
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "no position fix for f: range error is not finite")]
 
 
 def test_cli_position_skips_non_finite_distance(tmp_path, capsys, caplog):
