@@ -32,7 +32,7 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("masksim.cli")    # under -m, __name__ is "__main__"
 
 
 def _setup_logging() -> None:

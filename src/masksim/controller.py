@@ -104,7 +104,6 @@ class ControllerParams:
 @dataclass
 class StepResult:
     step: int
-    stakes: np.ndarray
     global_cost: float
     mean_individual_cost: float
     mean_compliance: float
@@ -161,8 +160,8 @@ class ComplianceController:
         ``bits`` holds each agent's mask bit and ``present`` whether its
         record was read, both in agent order; the bit of an absent agent is
         ignored.  A wrong length, or a bit other than 0 or 1 on a present
-        agent, raises ``ValueError`` before any state changes.  Returns the
-        stakes every agent must deposit for the next step.
+        agent, raises ``ValueError`` before any state changes.  The next
+        step's stakes are then :meth:`stakes`.
         """
         p = self.params
         n = len(self.agents)
@@ -203,18 +202,12 @@ class ComplianceController:
         self.individual_costs = (
             self.individual_costs + p.beta * (p.q_star - delayed_avgs))
 
-        result = StepResult(
-            step=step,
-            stakes=self.stakes(),
-            global_cost=self.global_cost,
-            mean_individual_cost=float(self.individual_costs.mean()),
-            mean_compliance=mean_now,
-        )
         if self._channel is not None and self._tangle is not None:
             self._channel.publish(self._tangle,
                                   encode_cost_vector(step, self.global_cost,
                                                      self.individual_costs))
-        return result
+        return StepResult(step, self.global_cost,
+                          float(self.individual_costs.mean()), mean_now)
 
 
 # =============================================================================

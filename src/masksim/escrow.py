@@ -14,23 +14,24 @@ Policies:
 
 * ``FIXED_PENALTY``        one bond per stay; full refund on exit iff the
                            whole history was compliant, else nothing back.
-* ``ADAPTIVE``             the bond is reissued every step: compliant agents
-                           get the stake back and stake the next amount,
-                           non-compliant agents forfeit the stake.
+* ``ADAPTIVE``             every bond settles in the step it is staked:
+                           compliant agents get the stake back,
+                           non-compliant agents forfeit it.
 * ``ADAPTIVE_WITH_RETURN`` adaptive, plus a compliant step after earlier
                            forfeitures claws back ``rho`` of the cumulative
                            forfeited total (geometric drawdown).
 * ``EVENT_DRIVEN``         the bond persists while compliant; a violation
-                           forfeits it and staying in the scheme requires a
-                           fresh deposit at the current controller price.
+                           forfeits it.
 
-A deposit the wallet cannot cover is never an error: it is recorded as an
-exclusion event (the agent is barred for the step) and state is unchanged.
-
-A run drives the bank with three calls that name no policy: ``enter``
-before a step's mask bits are drawn, ``settle`` after the controller step,
-on the same ledger read the controller acted on, and ``close`` at exit.
-Which per-agent rule applies is decided here alone.
+A run drives the bank with three calls that name no policy; which
+per-agent rule applies is decided here alone.  One call stakes bonds:
+``enter``, before a step's mask bits are drawn, stakes one at the step's
+controller price for every agent without one (under fixed penalty at step
+1 only).  ``settle``, after the controller step and on the ledger read the
+controller acted on, and ``close``, at exit, only refund, forfeit or
+partially return.  A deposit the wallet cannot cover is never an error: it
+is recorded as an exclusion event (the agent is barred for the step) and
+state is unchanged.
 
 The bank's balances are the fold of its own transfer records: every
 record, opening balances included, moves tokens through :func:`apply` and
@@ -215,13 +216,13 @@ class EscrowBank:
     # -- the policy, one step at a time ------------------------------------
     #
     # Agents go in wallet order, which is bank order.  The active bonds are
-    # in re-deposit order, so iterating them would reorder the transfers.
+    # in staking order, so iterating them would reorder the transfers.
 
     def enter(self, stakes: np.ndarray, step: int) -> None:
         """Stake a bond at the controller's price (``stakes`` in bank order)
         for every agent without an active one, before the step's mask bits
-        are drawn.  A fixed-penalty stay has one bond, staked at step 1:
-        there is no re-entry mid-run."""
+        are drawn: the one place bonds are staked.  A fixed-penalty stay
+        has one bond, staked at step 1: there is no re-entry mid-run."""
         if self.policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
             return
         active = self.balances.active_bonds
@@ -230,27 +231,25 @@ class EscrowBank:
             if agent not in active:
                 self.deposit(agent, stake, step)
 
-    def settle(self, bits: np.ndarray, present: np.ndarray,
-               next_stakes: np.ndarray, step: int) -> None:
+    def settle(self, bits: np.ndarray, present: np.ndarray, step: int) -> None:
         """Settle every active bond against its owner's mask bit as read
-        from the ledger, re-staking at ``next_stakes`` where the policy says
-        so, then commit the step's transfers; all arrays are in bank order.
-        A fixed-penalty bond is held until :meth:`close`; a violation is only
-        noted.  An agent with no record holds its bond: no settlement, and
-        no fixed-penalty violation."""
+        from the ledger (both arrays in bank order), then commit the step's
+        transfers.  A fixed-penalty bond is held until :meth:`close`; a
+        violation is only noted.  An agent with no record holds its bond:
+        no settlement, and no fixed-penalty violation."""
         records = zip(self.balances.wallets, bits.tolist(), present.tolist(),
-                      next_stakes.tolist(), strict=True)
+                      strict=True)
         if self.policy is PenaltyPolicy.FIXED_PENALTY:
-            self._violators.update(agent for agent, m, got, _ in records
+            self._violators.update(agent for agent, m, got in records
                                    if got and not m)
         else:
             settle_one = (self.settle_event
                           if self.policy is PenaltyPolicy.EVENT_DRIVEN
                           else self.settle_step)
             active = self.balances.active_bonds
-            for agent, m, got, stake in records:
+            for agent, m, got in records:
                 if got and agent in active:
-                    settle_one(agent, m, stake, step)
+                    settle_one(agent, m, step)
         self.commit()
 
     def close(self, step: int) -> None:
@@ -281,40 +280,32 @@ class EscrowBank:
         self._record(step, agent_id, "deposit", amount)
         return True
 
-    def settle_step(self, agent_id: str, m: int, next_stake_tokens: float,
-                    step: int) -> bool:
-        """Adaptive-policy settlement: refund or forfeit, then re-stake.
-
-        Returns whether the re-stake succeeded (False means the agent is
-        excluded from the next step).
-        """
+    def settle_step(self, agent_id: str, m: int, step: int) -> None:
+        """Adaptive-policy settlement: refund (with the partial return under
+        ``ADAPTIVE_WITH_RETURN``) or forfeit."""
         if self.policy not in _ADAPTIVE:
             raise EscrowFault(f"settle_step does not apply to {self.policy.value}")
         amount = self._active_bond(agent_id)
-        if m:
-            self._record(step, agent_id, "refund", amount)
-            forfeited = self.forfeited[agent_id]
-            if forfeited > 0 and self.policy is _WITH_RETURN:
-                returned = int((self._rho * forfeited)
-                               .quantize(_ONE, rounding=ROUND_HALF_EVEN))
-                if returned > 0:
-                    self.forfeited[agent_id] -= returned
-                    self._record(step, agent_id, "partial_return", returned)
-        else:
+        if not m:
             self._forfeit(agent_id, amount, step)
-        return self.deposit(agent_id, next_stake_tokens, step)
+            return
+        self._record(step, agent_id, "refund", amount)
+        forfeited = self.forfeited[agent_id]
+        if forfeited > 0 and self.policy is _WITH_RETURN:
+            returned = int((self._rho * forfeited)
+                           .quantize(_ONE, rounding=ROUND_HALF_EVEN))
+            if returned > 0:
+                self.forfeited[agent_id] -= returned
+                self._record(step, agent_id, "partial_return", returned)
 
-    def settle_event(self, agent_id: str, m: int, required_tokens: float,
-                     step: int) -> bool:
-        """Event-driven settlement: a violation costs the bond and staying
-        in the scheme needs a fresh deposit at the current price."""
+    def settle_event(self, agent_id: str, m: int, step: int) -> None:
+        """Event-driven settlement: a violation costs the bond; compliance
+        keeps it."""
         if self.policy is not PenaltyPolicy.EVENT_DRIVEN:
             raise EscrowFault(f"settle_event does not apply to {self.policy.value}")
         amount = self._active_bond(agent_id)
-        if m:
-            return True
-        self._forfeit(agent_id, amount, step)
-        return self.deposit(agent_id, required_tokens, step)
+        if not m:
+            self._forfeit(agent_id, amount, step)
 
     def settle_exit(self, agent_id: str, fully_compliant: bool, step: int) -> None:
         """Fixed-penalty settlement at exit: all back or nothing back."""

@@ -46,8 +46,8 @@ from .epidemic import EpidemicSeries, World, advance, sample_mask_bits
 from .escrow import EscrowBank, micro_to_str, replay_records
 from .ledger import (ChannelMode, ChannelReader, IntegrityError, MamChannel,
                      Tangle, mam_fetch)
-from .positioning import (distance, multilaterate, simulate_exchange,
-                          time_of_flight)
+from .positioning import (ExchangeError, distance, multilaterate,
+                          simulate_exchange, time_of_flight)
 from .sensing import (DetectorConfig, GasSample, MaskDetector, decode_status,
                       encode_status, status_topic)
 from .scenario import ScenarioConfig
@@ -174,18 +174,25 @@ class _Run:
     # -- hardware-in-the-loop position fix --------------------------------
 
     def _hil_fix(self, step: int) -> tuple[float, float] | None:
+        """The replayed agent's UWB fix, one exchange per anchor; one whose
+        jittered timestamps are out of order is dropped, after its draws."""
         cfg = self.config
         idx = cfg.hil.agent_index
         true_pos = self.world.positions[idx]
         rng = np.random.default_rng([cfg.seed, _HIL_STREAM, step])
-        dists = []
+        anchors, dists = [], []
         for ax, ay in cfg.anchors:
             d = float(np.hypot(true_pos[0] - ax, true_pos[1] - ay))
             ts = simulate_exchange(d, reply_delay=cfg.hil.reply_delay,
                                    final_delay=cfg.hil.final_delay,
                                    jitter=cfg.hil.ranging_jitter, rng=rng)
-            dists.append(distance(max(0.0, time_of_flight(ts))))
-        fix = multilaterate(cfg.anchors, dists)
+            try:
+                dists.append(distance(max(0.0, time_of_flight(ts))))
+                anchors.append((ax, ay))
+            except ExchangeError as exc:
+                log.info("step %d: exchange with anchor (%g, %g) dropped: "
+                         "%s", step, ax, ay, exc)
+        fix = multilaterate(anchors, dists)
         if not fix.converged:
             log.warning("no position fix at step %d: %s", step, fix.reason)
             return None
@@ -243,12 +250,11 @@ class _Run:
         return bits, present
 
     def _control(self, step: int, bits: np.ndarray,
-                 present: np.ndarray) -> np.ndarray:
-        """One controller step; returns the stakes for the next step."""
+                 present: np.ndarray) -> None:
+        """One controller step; its costs price the next step's bonds."""
         res = self.controller.step(step, bits, present)
         self.cost_rows.append((step, res.global_cost,
                                res.mean_individual_cost, res.mean_compliance))
-        return res.stakes
 
     def _close_escrow(self, steps: int) -> None:
         """Close the fixed-penalty bonds; then replaying the escrow channel
@@ -279,8 +285,8 @@ class _Run:
             self._publish_statuses(step, bits, positions)   # publish, bridge
             read_bits, present = self._read_records(step)
             if self.controlled:
-                stakes = self._control(step, read_bits, present)
-                self.bank.settle(read_bits, present, stakes, step)
+                self._control(step, read_bits, present)
+                self.bank.settle(read_bits, present, step)
                 if not self.bank.conservation_ok():
                     raise InvariantBreach(
                         f"escrow: token conservation violated at step {step}")

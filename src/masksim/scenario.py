@@ -87,6 +87,9 @@ class HilConfig:
             raise ValueError("agent_index must be >= 0")
         if self.ranging_jitter < 0:
             raise ValueError("ranging_jitter must be >= 0")
+        for name in ("reply_delay", "final_delay"):    # else out of order
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass
@@ -179,7 +182,10 @@ def _section(cls, doc, path: str, seed):
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # a check whose message opens with a field's name names that field
+        name, _, rest = str(exc).partition(" ")
+        where, what = (_join(path, name), rest) if name in hints else (path, exc)
+        raise ConfigError(f"{where}: {what}") from exc
 
 
 def parse_anchors(value, path: str = "anchors") -> list[tuple[float, float]]:

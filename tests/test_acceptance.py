@@ -214,45 +214,27 @@ def test_06_ledger_invariant_suite(tmp_path):
 
 def test_07_token_conservation():
     agents = [f"a{i}" for i in range(50)]
+    everyone = np.ones(len(agents), dtype=bool)
     for policy in PenaltyPolicy:
         rng = np.random.default_rng(hash(policy.value) % 2**32)
         bank = EscrowBank({a: 200.0 for a in agents}, policy, rho=0.5)
-        for a in agents:
-            bank.deposit(a, float(np.round(rng.uniform(0, 3), 4)), step=0)
         for k in range(1, 1001):
-            stakes = np.round(rng.uniform(0, 3, len(agents)), 4)
-            bits = rng.random(len(agents)) < 0.65
-            for i, a in enumerate(agents):
-                m, stake = int(bits[i]), float(stakes[i])
-                if a not in bank.balances.active_bonds:
-                    bank.deposit(a, stake, step=k)
-                elif policy in (PenaltyPolicy.ADAPTIVE,
-                                PenaltyPolicy.ADAPTIVE_WITH_RETURN):
-                    bank.settle_step(a, m, stake, step=k)
-                elif policy is PenaltyPolicy.EVENT_DRIVEN:
-                    bank.settle_event(a, m, stake, step=k)
+            bank.enter(np.round(rng.uniform(0, 3, len(agents)), 4), k)
+            bits = (rng.random(len(agents)) < 0.65).astype(np.int8)
+            bank.settle(bits, everyone, k)
             assert bank.balances.total() == bank.initial_total_micro, \
                 f"{policy.value}: conservation broken at step {k}"
-        if policy is PenaltyPolicy.FIXED_PENALTY:
-            for a in agents:
-                if a in bank.balances.active_bonds:
-                    bank.settle_exit(a, bool(rng.random() < 0.5), step=1001)
-            assert bank.balances.total() == bank.initial_total_micro
+        bank.close(1000)
+        assert bank.balances.total() == bank.initial_total_micro
 
     # rho=0 variant is bit-identical to plain adaptive
     def drive(policy, rho):
         rng = np.random.default_rng(99)
         bank = EscrowBank({a: 200.0 for a in agents}, policy, rho=rho)
-        for a in agents:
-            bank.deposit(a, 1.0, step=0)
         for k in range(1, 1001):
-            for a in agents:
-                m = int(rng.random() < 0.6)
-                stake = float(np.round(rng.uniform(0, 3), 4))
-                if a in bank.balances.active_bonds:
-                    bank.settle_step(a, m, stake, step=k)
-                else:
-                    bank.deposit(a, stake, step=k)
+            bank.enter(np.round(rng.uniform(0, 3, len(agents)), 4), k)
+            bank.settle((rng.random(len(agents)) < 0.6).astype(np.int8),
+                        everyone, k)
         return bank
 
     plain = drive(PenaltyPolicy.ADAPTIVE, rho=0.7)

@@ -304,8 +304,8 @@ def test_full_compliance_from_start_memoryless_window():
     ctrl = ComplianceController(params, ["solo"])
     stakes = []
     for k in range(1, 60):
-        res = step_all(ctrl, k, [1])
-        stakes.append(res.stakes[0])
+        step_all(ctrl, k, [1])
+        stakes.append(ctrl.stakes()[0])
     assert all(b <= a + 1e-12 for a, b in zip(stakes, stakes[1:]))
 
 
@@ -318,8 +318,8 @@ def test_full_compliance_from_start_bounded_discounted_window():
     ctrl = ComplianceController(params, ["solo"])
     stakes = []
     for k in range(1, 400):
-        res = step_all(ctrl, k, [1])
-        stakes.append(res.stakes[0])
+        step_all(ctrl, k, [1])
+        stakes.append(ctrl.stakes()[0])
     assert all(b >= a - 1e-12 for a, b in zip(stakes, stakes[1:]))
     # error terms: gamma at steps 1 and 2 (hold), then gamma^(k-1)
     limit = beta * (gamma + gamma / (1 - gamma))

@@ -86,12 +86,13 @@ def test_partial_return_equals_decimal_of_str_rho(rho, stakes):
     """Each partial return is ``Decimal(str(rho))`` times the cumulative
     forfeitures, rounded half even, with ``rho`` converted once per bank."""
     b = bank(PenaltyPolicy.ADAPTIVE_WITH_RETURN, {"a": 1000.0}, rho=rho)
-    b.deposit("a", stakes[0], step=1)
-    for step, stake in enumerate(stakes[1:], start=2):
-        b.settle_step("a", 0, stake, step)       # forfeit, then re-stake
+    for step, stake in enumerate(stakes, start=1):
+        b.deposit("a", stake, step)
+        b.settle_step("a", 0, step)              # forfeit
     for step in range(len(stakes) + 1, len(stakes) + 4):
+        b.deposit("a", 0.0, step)
         forfeited = b.forfeited["a"]
-        b.settle_step("a", 1, 0.0, step)         # refund, return, re-stake
+        b.settle_step("a", 1, step)              # refund, return
         want = int((Decimal(str(rho)) * forfeited)
                    .quantize(Decimal(1), rounding=ROUND_HALF_EVEN))
         got = [t.amount_micro for t in b.transfers
@@ -147,29 +148,31 @@ def test_double_deposit_is_state_fault():
 
 def test_adaptive_compliant_step_nets_zero():
     b = bank(PenaltyPolicy.ADAPTIVE)
-    b.deposit("a", 5.0, step=1)
     before = b.balances.wallets["a"]
-    b.settle_step("a", m=1, next_stake_tokens=5.0, step=2)
+    b.deposit("a", 5.0, step=1)
+    b.settle_step("a", m=1, step=1)
     assert b.balances.wallets["a"] == before
     kinds = [t.kind for t in b.transfers]
-    assert kinds == ["deposit", "refund", "deposit"]   # both legs logged
+    assert kinds == ["deposit", "refund"]              # both legs logged
+    assert not b.balances.active_bonds                 # settling closes it
 
 
 def test_adaptive_violation_forfeits_to_pool():
     b = bank(PenaltyPolicy.ADAPTIVE)
     b.deposit("a", 5.0, step=1)
-    b.settle_step("a", m=0, next_stake_tokens=2.0, step=2)
+    b.settle_step("a", m=0, step=1)
     assert b.balances.forfeited_pool == 5_000_000
-    assert b.balances.wallets["a"] == 3_000_000        # 10 - 5 - 2
-    assert b.balances.active_bonds["a"] == 2_000_000
+    assert b.balances.wallets["a"] == 5_000_000        # 10 - 5
+    assert not b.balances.active_bonds
 
 
 def test_adaptive_with_return_partial_comeback():
     b = bank(PenaltyPolicy.ADAPTIVE_WITH_RETURN, rho=0.5)
     b.deposit("a", 5.0, step=1)
-    b.settle_step("a", m=0, next_stake_tokens=5.0, step=2)   # forfeit 5
+    b.settle_step("a", m=0, step=1)                    # forfeit 5
     assert b.balances.forfeited_pool == 5_000_000
-    b.settle_step("a", m=1, next_stake_tokens=5.0, step=3)   # back in line
+    b.deposit("a", 5.0, step=2)
+    b.settle_step("a", m=1, step=2)                    # back in line
     # rho * 5 = 2.5 returned, forfeited total drawn down to 2.5
     assert b.balances.forfeited_pool == 2_500_000
     assert b.forfeited["a"] == 2_500_000
@@ -179,9 +182,9 @@ def test_adaptive_with_return_partial_comeback():
 
 def test_return_rho_one_restores_everything_on_next_compliance():
     b = bank(PenaltyPolicy.ADAPTIVE_WITH_RETURN, rho=1.0)
-    b.deposit("a", 4.0, step=1)
-    b.settle_step("a", m=0, next_stake_tokens=4.0, step=2)
-    b.settle_step("a", m=1, next_stake_tokens=4.0, step=3)
+    for step, m in enumerate((0, 1), start=1):
+        b.deposit("a", 4.0, step)
+        b.settle_step("a", m, step)
     assert b.balances.forfeited_pool == 0
     assert b.forfeited["a"] == 0
 
@@ -193,12 +196,9 @@ def test_return_rho_zero_bit_identical_to_adaptive():
 
     def drive(policy, rho):
         b = EscrowBank({"a": 50.0}, policy, rho=rho)
-        b.deposit("a", stakes[0], step=0)
         for k, m in enumerate(bits, start=1):
-            if "a" in b.balances.active_bonds:
-                b.settle_step("a", int(m), float(stakes[k]), step=k)
-            else:
-                b.deposit("a", float(stakes[k]), step=k)
+            if b.deposit("a", float(stakes[k]), step=k):
+                b.settle_step("a", int(m), step=k)
         return b
 
     plain = drive(PenaltyPolicy.ADAPTIVE, rho=0.5)
@@ -212,13 +212,13 @@ def test_settle_step_requires_adaptive_policy():
     b = bank(PenaltyPolicy.FIXED_PENALTY)
     b.deposit("a", 1.0, step=1)
     with pytest.raises(EscrowFault):
-        b.settle_step("a", 1, 1.0, step=2)
+        b.settle_step("a", 1, step=2)
 
 
 def test_settle_nonactive_bond_is_fault():
     b = bank(PenaltyPolicy.ADAPTIVE)
     with pytest.raises(EscrowFault):
-        b.settle_step("a", 1, 1.0, step=1)
+        b.settle_step("a", 1, step=1)
 
 
 # =============================================================================
@@ -252,29 +252,35 @@ def test_fixed_penalty_zero_stake_refunds_zero_either_way():
 # Event driven
 # =============================================================================
 
+ONE_AGENT = np.ones(1, dtype=bool)
+
+
 def test_event_driven_compliance_keeps_single_deposit():
     b = bank(PenaltyPolicy.EVENT_DRIVEN)
-    b.deposit("a", 3.0, step=1)
-    for k in range(2, 52):
-        b.settle_event("a", m=1, required_tokens=3.0, step=k)
+    for k in range(1, 52):
+        b.enter(np.array([3.0]), k)
+        b.settle(np.ones(1), ONE_AGENT, k)
     assert [t.kind for t in b.transfers] == ["deposit"]
 
 
 def test_event_driven_violation_forfeits_and_redeposits():
     b = bank(PenaltyPolicy.EVENT_DRIVEN)
-    b.deposit("a", 3.0, step=1)
-    b.settle_event("a", m=0, required_tokens=6.0, step=10)
+    b.enter(np.array([3.0]), 9)
+    b.settle(np.zeros(1), ONE_AGENT, 9)
     assert b.balances.forfeited_pool == 3_000_000
-    assert "a" in b.balances.active_bonds
+    assert "a" not in b.balances.active_bonds
+    b.enter(np.array([6.0]), 10)                       # the next step's price
     assert b.balances.active_bonds["a"] == 6_000_000
     assert b.balances.wallets["a"] == 1_000_000
+    assert [t[:3] for t in b.transfers] == [
+        (9, "a", "deposit"), (9, "a", "forfeit"), (10, "a", "deposit")]
 
 
 def test_event_driven_two_violations_two_redeposits():
     b = bank(PenaltyPolicy.EVENT_DRIVEN, {"a": 20.0})
-    b.deposit("a", 2.0, step=1)
-    b.settle_event("a", m=0, required_tokens=3.0, step=2)
-    b.settle_event("a", m=0, required_tokens=4.0, step=3)
+    for k, stake in enumerate((2.0, 3.0, 4.0), start=1):
+        b.enter(np.array([stake]), k)
+        b.settle(np.array([0.0 if k < 3 else 1.0]), ONE_AGENT, k)
     kinds = [t.kind for t in b.transfers]
     assert kinds == ["deposit", "forfeit", "deposit", "forfeit", "deposit"]
     assert b.balances.forfeited_pool == 5_000_000
@@ -283,8 +289,11 @@ def test_event_driven_two_violations_two_redeposits():
 def test_event_driven_redeposit_may_exclude():
     b = bank(PenaltyPolicy.EVENT_DRIVEN, {"a": 5.0})
     b.deposit("a", 5.0, step=1)
-    assert not b.settle_event("a", m=0, required_tokens=6.0, step=2)
-    assert len(b.exclusions) == 1
+    b.settle_event("a", m=0, step=1)
+    b.enter(np.array([6.0]), 2)
+    assert [(e.step, e.required_micro) for e in b.exclusions] == \
+        [(2, 6_000_000)]
+    assert not b.balances.active_bonds
 
 
 # =============================================================================
@@ -304,19 +313,18 @@ def test_conservation_and_nonnegativity_random_sequences(policy, data):
     agents = [f"a{i}" for i in range(n_agents)]
     b = EscrowBank({a: float(rng.integers(0, 20)) for a in agents},
                    policy, rho=float(rng.choice([0.0, 0.3, 0.5, 1.0])))
-    for a in agents:
-        b.deposit(a, float(np.round(rng.uniform(0, 4), 4)), step=0)
     for k in range(1, 40):
         for a in agents:
             m = int(rng.random() < 0.6)
             stake = float(np.round(rng.uniform(0, 4), 4))
-            if a not in b.balances.active_bonds:
-                b.deposit(a, stake, step=k)
-            elif policy in (PenaltyPolicy.ADAPTIVE,
-                            PenaltyPolicy.ADAPTIVE_WITH_RETURN):
-                b.settle_step(a, m, stake, step=k)
+            if a not in b.balances.active_bonds and \
+                    not b.deposit(a, stake, step=k):
+                continue
+            if policy in (PenaltyPolicy.ADAPTIVE,
+                          PenaltyPolicy.ADAPTIVE_WITH_RETURN):
+                b.settle_step(a, m, step=k)
             elif policy is PenaltyPolicy.EVENT_DRIVEN:
-                b.settle_event(a, m, stake, step=k)
+                b.settle_event(a, m, step=k)
         assert b.conservation_ok()
         assert all(w >= 0 for w in b.balances.wallets.values())
         assert b.balances.forfeited_pool >= 0
@@ -338,15 +346,10 @@ def test_every_transfer_lands_on_ledger_and_replays_to_same_balances():
     agents = [f"a{i}" for i in range(5)]
     b = EscrowBank({a: 30.0 for a in agents}, PenaltyPolicy.ADAPTIVE_WITH_RETURN,
                    rho=0.5, tangle=tangle, channel=channel)
-    for a in agents:
-        b.deposit(a, 2.0, step=0)
     for k in range(1, 60):
         for a in agents:
-            if a in b.balances.active_bonds:
-                b.settle_step(a, int(rng.random() < 0.7),
-                              float(np.round(rng.uniform(0, 3), 3)), step=k)
-            else:
-                b.deposit(a, 1.0, step=k)
+            if b.deposit(a, float(np.round(rng.uniform(0, 3), 3)), step=k):
+                b.settle_step(a, int(rng.random() < 0.7), step=k)
         b.commit()
 
     payloads = mam_fetch(tangle, channel.base_address, ChannelMode.PUBLIC)
@@ -376,10 +379,13 @@ def test_v2_bundle_round_trip_through_replay():
     b.deposit("b", 2.0, step=1)
     assert len(fetch()) == 1                 # buffered until the commit
     b.commit()
-    b.settle_step("a", 0, 3.0, step=2)       # forfeit, deposit
-    b.settle_step("b", 1, 1.0, step=2)       # refund, deposit
+    b.settle_step("a", 0, step=1)            # forfeit
+    b.settle_step("b", 1, step=1)            # refund
+    b.deposit("a", 3.0, step=2)
+    b.deposit("b", 1.0, step=2)
     b.commit()
-    b.settle_step("a", 1, 1.0, step=3)       # refund, partial_return, deposit
+    b.settle_step("a", 1, step=2)            # refund, partial_return
+    b.deposit("a", 1.0, step=3)
     b.commit()
     b.commit()                               # nothing pending: no bundle
     payloads = fetch()
@@ -441,13 +447,13 @@ def test_replay_rejects_a_transfer_before_its_init():
 def test_transfer_csv_schema(tmp_path):
     b = bank(PenaltyPolicy.ADAPTIVE)
     b.deposit("a", 2.5, step=1)
-    b.settle_step("a", 0, 1.0, step=2)
+    b.settle_step("a", 0, step=1)
     path = tmp_path / "transfers.csv"
     b.write_transfer_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,agent,kind,amount"
     assert lines[1] == "1,a,deposit,2.500000"
-    assert lines[2] == "2,a,forfeit,2.500000"
+    assert lines[2] == "1,a,forfeit,2.500000"
 
 
 # =============================================================================
@@ -457,13 +463,13 @@ def test_transfer_csv_schema(tmp_path):
 def dispatch_oracle(b, agents, schedule):
     """The per-agent policy dispatch a closed-loop run once did itself,
     kept as the oracle: which rule applies to which bond under which policy,
-    with the fixed-penalty compliance history kept outside the bank.  An
-    agent with no record that step is skipped: its bond is held."""
+    with the fixed-penalty compliance history kept outside the bank.  Every
+    bond is staked at the start of a step, settling only closes bonds, and
+    an agent with no record that step is skipped: its bond is held."""
     policy = b.policy
     all_compliant = np.ones(len(agents), dtype=bool)
-    for step, (stakes, bits, present, next_stakes) in enumerate(schedule,
-                                                                 start=1):
-        stakes, next_stakes = stakes.tolist(), next_stakes.tolist()
+    for step, (stakes, bits, present) in enumerate(schedule, start=1):
+        stakes = stakes.tolist()
         for i, a in enumerate(agents):
             if a not in b.balances.active_bonds:
                 if policy is PenaltyPolicy.FIXED_PENALTY and step > 1:
@@ -476,9 +482,9 @@ def dispatch_oracle(b, agents, schedule):
             m = int(bits[i])
             if policy in (PenaltyPolicy.ADAPTIVE,
                           PenaltyPolicy.ADAPTIVE_WITH_RETURN):
-                b.settle_step(a, m, next_stakes[i], step)
+                b.settle_step(a, m, step)
             elif policy is PenaltyPolicy.EVENT_DRIVEN:
-                b.settle_event(a, m, next_stakes[i], step)
+                b.settle_event(a, m, step)
         b.commit()
     if policy is PenaltyPolicy.FIXED_PENALTY:
         for a, compliant in zip(agents, all_compliant.tolist()):
@@ -488,10 +494,9 @@ def dispatch_oracle(b, agents, schedule):
 
 
 def step_calls(b, schedule):
-    for step, (stakes, bits, present, next_stakes) in enumerate(schedule,
-                                                                 start=1):
+    for step, (stakes, bits, present) in enumerate(schedule, start=1):
         b.enter(stakes, step)
-        b.settle(bits, present, next_stakes, step)
+        b.settle(bits, present, step)
     b.close(len(schedule))
 
 
@@ -516,7 +521,7 @@ def test_step_calls_equal_per_agent_dispatch(policy, seed):
         bits = (rng.random(len(agents)) < compliance).astype(np.int8)
         present = rng.random(len(agents)) >= 0.1
         present[0] = bits[0] = step % 3 != 0
-        schedule.append((price(), bits, present, price()))
+        schedule.append((price(), bits, present))
     banks = []
     for drive in (dispatch_oracle, None):
         tangle = Tangle(rng_seed=seed)
@@ -637,11 +642,11 @@ class EscrowModel(RuleBasedStateMachine):
     @precondition(lambda self: self.bonds
                   and self.POLICY in (PenaltyPolicy.ADAPTIVE,
                                       PenaltyPolicy.ADAPTIVE_WITH_RETURN))
-    @rule(data=st.data(), m=st.integers(0, 1), amount=micro_amounts)
-    def settle_step(self, data, m, amount):
+    @rule(data=st.data(), m=st.integers(0, 1))
+    def settle_step(self, data, m):
         agent = data.draw(st.sampled_from(sorted(self.bonds)))
         self.step += 1
-        ok = self.bank.settle_step(agent, m, amount / 1e6, self.step)
+        self.bank.settle_step(agent, m, self.step)
         if not m:
             self._forfeit(agent)
         else:
@@ -651,20 +656,16 @@ class EscrowModel(RuleBasedStateMachine):
                 self.forfeited[agent] -= back
                 self.pool -= back
                 self.wallets[agent] += back
-        assert ok == self._deposit(agent, amount)
 
     @precondition(lambda self: self.bonds
                   and self.POLICY is PenaltyPolicy.EVENT_DRIVEN)
-    @rule(data=st.data(), m=st.integers(0, 1), amount=micro_amounts)
-    def settle_event(self, data, m, amount):
+    @rule(data=st.data(), m=st.integers(0, 1))
+    def settle_event(self, data, m):
         agent = data.draw(st.sampled_from(sorted(self.bonds)))
         self.step += 1
-        ok = self.bank.settle_event(agent, m, amount / 1e6, self.step)
+        self.bank.settle_event(agent, m, self.step)
         if not m:
             self._forfeit(agent)
-            assert ok == self._deposit(agent, amount)
-        else:
-            assert ok
 
     @precondition(lambda self: self.bonds
                   and self.POLICY is PenaltyPolicy.FIXED_PENALTY)
@@ -685,9 +686,8 @@ class EscrowModel(RuleBasedStateMachine):
         settle = {PenaltyPolicy.EVENT_DRIVEN: self.bank.settle_event,
                   PenaltyPolicy.FIXED_PENALTY: self.bank.settle_exit}.get(
                       self.POLICY, self.bank.settle_step)
-        args = (m,) if self.POLICY is PenaltyPolicy.FIXED_PENALTY else (m, 0.0)
         with pytest.raises(EscrowFault):
-            settle(agent, *args, self.step)
+            settle(agent, m, self.step)
 
     @rule()
     def commit(self):
