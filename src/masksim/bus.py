@@ -179,8 +179,8 @@ class Gateway:
                 rec = decode_bridge_record(msg.body)
                 if rec is not None:
                     self._seen.add((rec["publisher"], rec["topic"], rec["seq"]))
-            # recover the publish cursor of a restarted writer
-            channel.fast_forward(reader.next_index)
+            # recover the publish index of a restarted writer
+            channel.next_index = reader.next_index
 
     @property
     def dropped(self) -> int:

@@ -141,12 +141,17 @@ def cmd_position(args) -> int:
         return EXIT_CONFIG
     try:
         with open(args.file, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except UnicodeDecodeError as exc:
         print(f"error: ranging file is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except csv.Error as exc:
+        print(f"error: ranging file line {reader.line_num}: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     if not rows:
         print("error: empty ranging file", file=sys.stderr)

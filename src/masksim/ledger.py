@@ -8,10 +8,11 @@ by a 32-byte hash, and the set of transactions with no approvers yet (the
 *tips*) is where new transactions attach.
 
 Channels layer an ordered, optionally encrypted message stream on top of raw
-transactions.  A channel is identified by a 32-byte root; the address of
-message ``i`` is a hash chain starting at the mode-dependent base address, so
-a subscriber who knows the base address can walk the channel in publish
-order.  Modes:
+transactions.  A channel is identified by a 32-byte root, and every message
+of the channel is stored at its mode-dependent base address.  Each envelope
+carries its 8-byte channel index, which alone orders the channel: a reader
+takes, in append order, the first decodable envelope of each next index.
+Modes:
 
 * ``PUBLIC``      address = root, plaintext payloads
 * ``PRIVATE``     address = H(root), plaintext payloads (the address itself
@@ -26,16 +27,17 @@ zero bytes in the parent slots (a literal fixpoint hash is impossible), and
 
 Concurrency: appends are serialized through one internal lock, taken
 once per append.  ``verify`` holds the lock for its whole walk, so appends
-wait for it.  ``ChannelReader.poll`` takes it once per channel index it
-looks up (through ``transactions_at``), not for the whole walk: a poll that
-races a publish returns a prefix of the channel, and the next poll resumes
-at the first index it did not see.
+wait for it.  ``ChannelReader.poll`` takes it once per poll (through
+``transactions_at``): a poll that races a publish returns what was appended
+before its lookup, and the next poll resumes after it.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import mmap
+import os
 import random
 import struct
 import threading
@@ -50,12 +52,11 @@ ZERO32 = bytes(32)
 _GENESIS_PAYLOAD = b"genesis"
 
 _TX_DOMAIN = b"masksim-tx-v1"
-_CHAIN_DOMAIN = b"masksim-mam-next"
 _KEY_DOMAIN = b"masksim-mam-key"
 _NONCE_DOMAIN = b"masksim-mam-nonce"
 
 _ENVELOPE_MAGIC = b"MAM1"
-_ENVELOPE_VERSION = 1
+_ENVELOPE_VERSION = 2
 _ENVELOPE_HEADER = len(_ENVELOPE_MAGIC) + 2 + 8     # magic, version, mode, index
 _INDEX = struct.Struct(">Q")                        # a message's channel index
 
@@ -219,10 +220,12 @@ class Tangle:
                                      self._next_time))
             return tid
 
-    def transactions_at(self, address: bytes) -> list[Transaction]:
-        """All transactions carrying ``address``, in append order."""
+    def transactions_at(self, address: bytes,
+                        start: int = 0) -> list[Transaction]:
+        """The transactions carrying ``address``, in append order, from the
+        ``start``-th on."""
         with self._lock:
-            return list(self._by_address.get(address, ()))
+            return self._by_address.get(address, [])[start:]
 
     # -- verification ---------------------------------------------------
 
@@ -294,14 +297,14 @@ class Tangle:
         with self._lock:
             n = len(self.transactions)
             tips = len(self._tips)
-            addressed = sum(len(v) for v in self._by_address.values())
-            chains = _chain_partition(set(self._by_address))
+            per_channel = sorted(map(len, self._by_address.values()),
+                                 reverse=True)
         return {
             "transactions": n,
             "tips": tips,
-            "channel_messages": addressed,
-            "channels": len(chains),
-            "messages_per_channel": sorted((len(c) for c in chains), reverse=True),
+            "channel_messages": sum(per_channel),
+            "channels": len(per_channel),
+            "messages_per_channel": per_channel,
         }
 
     # -- persistence ------------------------------------------------------
@@ -340,8 +343,7 @@ class Tangle:
         its ``problems`` name each fault ``verify`` finds once.
         """
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = json.loads(_read_text(path))
         # ValueError: bad JSON, bad UTF-8 or an int past the digit limit
         except (ValueError, RecursionError) as exc:
             raise IntegrityError(f"snapshot is not valid JSON: {exc}") from exc
@@ -389,28 +391,14 @@ class Tangle:
         return tangle
 
 
-def _chain_partition(addresses: set[bytes]) -> list[list[bytes]]:
-    """Group addresses into hash chains (address -> H(chain-domain, address)).
-
-    Channel identity is recoverable from snapshot structure alone because
-    successive message addresses are linked by a public hash.
-    """
-    succ = {}
-    has_pred = set()
-    for a in addresses:
-        nxt = _next_address(a)
-        if nxt in addresses:
-            succ[a] = nxt
-            has_pred.add(nxt)
-    chains = []
-    for a in addresses:
-        if a in has_pred:
-            continue
-        chain = [a]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        chains.append(chain)
-    return chains
+def _read_text(path) -> str:
+    """The UTF-8 text of a file, decoded from a read-only mapping: a read
+    buffer freed before the parse would stay resident through it."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:      # empty, or not a file
+            return fh.read().decode("utf-8")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            return str(mapped, "utf-8")
 
 
 # =============================================================================
@@ -425,7 +413,7 @@ class ChannelMode(Enum):
 
 def channel_address(mode: ChannelMode, root: bytes,
                     side_key: bytes | None = None) -> bytes:
-    """Base (index-0) address of a channel.
+    """Base address of a channel, where every one of its messages is stored.
 
     Public channels sit at the root verbatim, private ones at H(root), and
     restricted ones at H(root || side_key); the concatenation order is a
@@ -442,10 +430,6 @@ def channel_address(mode: ChannelMode, root: bytes,
     if mode is ChannelMode.PRIVATE:
         return crypto.digest(root)
     return root
-
-
-def _next_address(address: bytes) -> bytes:
-    return crypto.digest(_CHAIN_DOMAIN, address)
 
 
 def _message_key(base_address: bytes, side_key: bytes) -> bytes:
@@ -469,8 +453,8 @@ def _envelope_head(mode: ChannelMode) -> bytes:
 class MamChannel:
     """Writer-side state of one message channel.
 
-    ``next_index`` counts published messages; the current attachment address
-    is maintained incrementally so publishing stays O(1) per message.
+    ``next_index`` counts published messages and is the index of the next
+    one; every message is appended at ``base_address``.
     """
     mode: ChannelMode
     root: bytes
@@ -483,7 +467,6 @@ class MamChannel:
         self._aead = (crypto.cipher(_message_key(self._base, self.side_key))
                       if self.mode is ChannelMode.RESTRICTED else None)
         self._head = _envelope_head(self.mode)
-        self._cursor = self._base
 
     @property
     def base_address(self) -> bytes:
@@ -497,21 +480,14 @@ class MamChannel:
             overhead += crypto.AEAD_TAG_SIZE
         return MAX_PAYLOAD - overhead
 
-    def fast_forward(self, index: int) -> None:
-        """Advance the publish cursor past ``index`` messages already on the
-        ledger (used when a writer restarts against an existing channel)."""
-        while self.next_index < index:
-            self._cursor = _next_address(self._cursor)
-            self.next_index += 1
-
     def publish(self, tangle: Tangle, message: bytes) -> bytes:
         """Encode, encrypt if restricted, and append; returns the tx id."""
         index = self.next_index
-        address = self._cursor
+        address = self._base
         index_bytes = _INDEX.pack(index)
         if self._aead is not None:
             body = crypto.encrypt(self._aead,
-                                  _message_nonce(self._base, index_bytes),
+                                  _message_nonce(address, index_bytes),
                                   message, aad=address)
         else:
             body = message
@@ -521,7 +497,6 @@ class MamChannel:
                 f"message of {len(message)} bytes exceeds the channel limit")
         tx_id = tangle.append(envelope, channel_address=address)
         self.next_index = index + 1
-        self._cursor = _next_address(address)
         return tx_id
 
 
@@ -529,9 +504,8 @@ _MODE_BYTES = {ChannelMode.PUBLIC: 0, ChannelMode.PRIVATE: 1,
                ChannelMode.RESTRICTED: 2}
 
 
-def _decode_envelope(payload: bytes, header: bytes, address: bytes,
-                     base_address: bytes, restricted: bool,
-                     aead) -> bytes | None:
+def _decode_envelope(payload: bytes, header: bytes, base_address: bytes,
+                     restricted: bool, aead) -> bytes | None:
     """Decode one stored envelope; ``None`` if it is not decodable.
 
     ``header`` is the envelope head of the channel's mode followed by the
@@ -547,7 +521,7 @@ def _decode_envelope(payload: bytes, header: bytes, address: bytes,
         return None
     return crypto.decrypt(aead,
                           _message_nonce(base_address, header[-_INDEX.size:]),
-                          body, aad=address)
+                          body, aad=base_address)
 
 
 class ChannelMessage(NamedTuple):
@@ -559,8 +533,14 @@ class ChannelMessage(NamedTuple):
 class ChannelReader:
     """Incremental subscriber cursor over one channel.
 
-    Holds the walk position so polling inside a simulation loop is O(new
-    messages), not O(channel length).
+    It keeps how many of the address's transactions it has seen and the
+    next channel index.  A poll looks up only the transactions appended
+    since the last one, so polling inside a simulation loop is O(new
+    messages), and emits, in append order, each one whose envelope carries
+    the next index and decodes (authenticates, on a restricted channel);
+    each emitted message advances the index.  So there is one message per
+    index: a later envelope that reuses an index already read is skipped,
+    and one that does not decode does not hide the genuine message after it.
     """
 
     def __init__(self, tangle: Tangle, address: bytes, mode: ChannelMode,
@@ -571,34 +551,30 @@ class ChannelReader:
         self._restricted = mode is ChannelMode.RESTRICTED
         self._aead = (crypto.cipher(_message_key(address, side_key))
                       if self._restricted and side_key else None)
-        self._cursor = address
+        self._seen = 0
         self._index = 0
 
     @property
     def next_index(self) -> int:
-        """First channel index not yet seen populated."""
+        """The channel index of the next message to read."""
         return self._index
 
     def poll(self) -> list[ChannelMessage]:
         """Messages published since the last poll, in channel order."""
+        base, head, index = self._base, self._head, self._index
+        txs = self._tangle.transactions_at(base, self._seen)
+        self._seen += len(txs)
         out: list[ChannelMessage] = []
-        transactions_at = self._tangle.transactions_at
-        head, base, restricted, aead = (self._head, self._base,
-                                        self._restricted, self._aead)
-        cursor, index = self._cursor, self._index
-        while True:
-            txs = transactions_at(cursor)
-            if not txs:
-                return out
-            header = head + _INDEX.pack(index)
-            for tx in txs:
-                body = _decode_envelope(tx.payload, header, cursor, base,
-                                        restricted, aead)
-                if body is not None:
-                    out.append(ChannelMessage(index, tx.id, body))
-            index += 1
-            cursor = _next_address(cursor)
-            self._cursor, self._index = cursor, index
+        header = head + _INDEX.pack(index)
+        for tx in txs:
+            body = _decode_envelope(tx.payload, header, base, self._restricted,
+                                    self._aead)
+            if body is not None:
+                out.append(ChannelMessage(index, tx.id, body))
+                index += 1
+                header = head + _INDEX.pack(index)
+        self._index = index
+        return out
 
 
 def mam_fetch(tangle: Tangle, address: bytes, mode: ChannelMode,

@@ -381,25 +381,30 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunResult:
 
 def read_replay_csv(path) -> tuple[list[GasSample], list[str]]:
     """Parse a replay file (t, eco2_ppm, tvoc_ppb); malformed rows are
-    skipped with line-numbered warnings."""
+    skipped with line-numbered warnings.  A file the CSV reader cannot
+    split (a field over its size limit) raises ``ValueError``."""
     samples: list[GasSample] = []
     warnings: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != \
-                ["t", "eco2_ppm", "tvoc_ppb"]:
-            raise ValueError(
-                "replay file must start with header t,eco2_ppm,tvoc_ppb")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                t, eco2, tvoc = int(row[0]), float(row[1]), float(row[2])
-            except (ValueError, IndexError):
-                warnings.append(f"line {lineno}: malformed row {row!r}, skipped")
-                continue
-            samples.append(GasSample(eco2, tvoc, t))
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:3]] != \
+                    ["t", "eco2_ppm", "tvoc_ppb"]:
+                raise ValueError(
+                    "replay file must start with header t,eco2_ppm,tvoc_ppb")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                try:
+                    t, eco2, tvoc = int(row[0]), float(row[1]), float(row[2])
+                except (ValueError, IndexError):
+                    warnings.append(
+                        f"line {lineno}: malformed row {row!r}, skipped")
+                    continue
+                samples.append(GasSample(eco2, tvoc, t))
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     for w in warnings:
         log.warning("%s", w)
     return samples, warnings

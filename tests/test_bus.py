@@ -209,10 +209,12 @@ def test_gateway_counters_account_exactly():
     tangle, bus, channel, gw = _setup("t/x")
     for i in range(7):
         bus.publish("t/x", f"{i}".encode(), "pub")
-    gw.pump()
+    appended = gw.pump()
     c = gw.counters()
     assert c["bridged"] == 7 and c["dead_letters"] == 0 and c["dropped"] == 0
-    assert len(tangle.transactions_at(channel_base(channel))) == 1  # index 0 only
+    # all seven messages sit at the channel address, in publish order
+    stored = tangle.transactions_at(channel_base(channel))
+    assert [tx.id for tx in stored] == appended and len(appended) == 7
 
 
 def channel_base(channel):

@@ -230,6 +230,73 @@ def test_channel_message_ordering_is_publish_order():
     assert mam_fetch(t, ch.base_address, ChannelMode.PRIVATE) == msgs
 
 
+def test_reused_public_index_is_read_once():
+    t = Tangle()
+    ch = MamChannel(ChannelMode.PUBLIC, bytes(32))
+    reader = ChannelReader(t, ch.base_address, ChannelMode.PUBLIC)
+    ch.publish(t, b"m0")
+    first = t.transactions_at(ch.base_address)[0]
+    assert [m.body for m in reader.poll()] == [b"m0"]
+    # the same index-0 envelope again, approving other parents: a new
+    # transaction at the channel address
+    again = t.append(first.payload, channel_address=ch.base_address,
+                     parents=(first.id, t.genesis))
+    assert again != first.id
+    ch.publish(t, b"m1")
+    assert [(m.index, m.body) for m in reader.poll()] == [(1, b"m1")]
+    assert mam_fetch(t, ch.base_address, ChannelMode.PUBLIC) == [b"m0", b"m1"]
+
+
+def test_envelope_appended_before_its_index_is_never_read():
+    # messages 0 and 1 of one channel, copied onto another tangle as 1, 0
+    src = Tangle()
+    ch = MamChannel(ChannelMode.PUBLIC, bytes(32))
+    ch.publish(src, b"m0")
+    ch.publish(src, b"m1")
+    m0, m1 = src.transactions_at(ch.base_address)
+    t = Tangle()
+    t.append(m1.payload, channel_address=ch.base_address)
+    t.append(m0.payload, channel_address=ch.base_address)
+    reader = ChannelReader(t, ch.base_address, ChannelMode.PUBLIC)
+    assert [(m.index, m.body) for m in reader.poll()] == [(0, b"m0")]
+    assert reader.poll() == []
+    assert t.transactions_at(ch.base_address, 1) == \
+        t.transactions_at(ch.base_address)[1:]
+
+
+def test_forged_restricted_envelope_does_not_hide_the_message():
+    root, key = bytes(32), b"secret"
+    ch = MamChannel(ChannelMode.RESTRICTED, root, side_key=key)
+    # a forger copies the layout of an index-0 envelope, but cannot make
+    # its body authenticate without the key
+    other = Tangle()
+    MamChannel(ChannelMode.RESTRICTED, root, side_key=key).publish(other, b"x")
+    forged = bytearray(other.transactions_at(ch.base_address)[0].payload)
+    forged[-1] ^= 1
+    t = Tangle()
+    t.append(bytes(forged), channel_address=ch.base_address)
+    ch.publish(t, b"genuine")
+    ch.publish(t, b"next")
+    reader = ChannelReader(t, ch.base_address, ChannelMode.RESTRICTED, key)
+    assert [(m.index, m.body) for m in reader.poll()] == \
+        [(0, b"genuine"), (1, b"next")]
+
+
+def test_version_1_envelope_reads_as_empty(tmp_path):
+    """A chain-addressed snapshot keeps only message 0 at a channel's base
+    address, in a version-1 envelope: it loads and verifies, and the
+    channel reads as empty rather than as its first message alone."""
+    t = Tangle()
+    ch = MamChannel(ChannelMode.PUBLIC, bytes(32))
+    t.append(b"MAM1\x01\x00" + bytes(8) + b"old",
+             channel_address=ch.base_address)
+    path = tmp_path / "ledger.json"
+    t.save(path)
+    loaded = Tangle.load(path)
+    assert loaded.verify() == []
+    assert mam_fetch(loaded, ch.base_address, ChannelMode.PUBLIC) == []
+
+
 # =============================================================================
 # Concurrency
 # =============================================================================

@@ -23,8 +23,9 @@ from masksim.cli import main
 from masksim.escrow import EscrowBank, PenaltyPolicy, replay_records
 from masksim.ledger import MamChannel, Tangle, mam_fetch
 from masksim.records import decode_status
-from masksim.runner import (agent_ids, detector_bits, escrow_channel,
-                            read_replay_csv, run_hil_replay, run_scenario)
+from masksim.runner import (agent_channel, agent_ids, controller_channel,
+                            detector_bits, escrow_channel, read_replay_csv,
+                            run_hil_replay, run_scenario)
 from masksim.scenario import (ConfigError, ScenarioConfig, load_scenario,
                               scenario_from_dict)
 from masksim.sensing import DetectorConfig, synth_stream
@@ -235,7 +236,7 @@ README_DIGESTS = {
     "transfers.csv":
         "1ab7da9d7ea4b48f9a067fe658287bc3f5428932763967440b654449378a1cad",
     "ledger.json":
-        "5c80ab9a0f37f0c28c4719b65640e0a37f32eac4f836ebd1c724e597603beeb0",
+        "8a7798e979367299bdb1f85ea4ec7a654b6efb674d5ebd3cadb9851a0b08cf4b",
 }
 
 
@@ -341,6 +342,20 @@ def test_compliance_records_travel_via_ledger():
     assert res.summary.bridge["bridged"] == cfg.world.n_agents * 15
 
 
+def test_snapshot_addresses_are_the_runs_channels(tmp_path):
+    cfg = make_config(steps=6)
+    out = tmp_path / "out"
+    run_scenario(cfg, out_dir=out)
+    loaded = Tangle.load(out / "ledger.json")
+    addresses = {tx.channel_address for tx in loaded.transactions.values()
+                 if tx.channel_address is not None}
+    channels = [agent_channel(cfg.seed, a)
+                for a in agent_ids(cfg.world.n_agents)]
+    channels += [controller_channel(cfg.seed), escrow_channel(cfg.seed)]
+    assert addresses == {ch.base_address for ch in channels}
+    assert loaded.stats()["channels"] == cfg.world.n_agents + 2
+
+
 def test_fixed_mode_skips_controller_and_escrow(tmp_path):
     cfg = make_config(world={"n_agents": 10, "mask_mode": "fixed",
                              "mask_fraction": 0.5})
@@ -381,18 +396,21 @@ def test_fixed_penalty_policy_settles_at_exit():
 # Calls of one in-memory controller run, 40 agents x 20 steps under
 # adaptive_with_return, counted at the functions a benchmark trace wraps:
 # per status one bus message, one bridge record, one channel message and
-# one append, five SHA-256 (content id, nonce and next address on write,
-# nonce and next address on read), one encryption and one decryption;
-# then the cost vectors, the escrow bundles, and the final replay and
-# verify.  A faster hot path must neither skip this work nor go around
-# these functions.
+# one append, three SHA-256 (content id and nonce on write, nonce on
+# read), one encryption and one decryption; then the cost vectors, the
+# escrow bundles, and the final replay and verify.  Every channel lives at
+# one address, so each poll is one ``transactions_at`` lookup: one per
+# agent and step, one per agent channel for the gateway's restart
+# recovery, and one for the escrow replay.
+# A faster hot path must neither skip this work nor go around these
+# functions.
 CALL_BUDGET = {
     "MessageBus.publish": 800,
     "encode_bridge_record": 800,
     "MamChannel.publish": 841,
     "Tangle.append": 841,
-    "Tangle.transactions_at": 1_662,
-    "crypto.digest": 6_030,
+    "Tangle.transactions_at": 841,
+    "crypto.digest": 3_527,
     "crypto.encrypt": 800,
     "crypto.decrypt": 800,
     "to_micro": 840,
@@ -497,7 +515,6 @@ def test_hil_agent_gets_positioned_status_records(tmp_path):
     res = run_hil_replay(cfg, path)
     from masksim.bus import decode_bridge_record
     from masksim.ledger import ChannelReader
-    from masksim.runner import agent_channel
     from masksim.sensing import decode_status
     hil_agent = agent_ids(cfg.world.n_agents)[cfg.hil.agent_index]
     ch = agent_channel(cfg.seed, hil_agent)
@@ -661,6 +678,8 @@ NOT_UTF8 = b'{"format": "masksim-tangle\xff"}'
 # that is not a JSONDecodeError (Python's 4,300-digit limit on int parsing)
 DEEP_NESTING = b"[" * 100_000 + b"]" * 100_000
 HUGE_INT = b'{"version": ' + b"9" * 5_000 + b"}"
+# a CSV field past the csv module's 131,072-byte limit, on line 2
+OVER_LIMIT = b"t,eco2_ppm,tvoc_ppb\n1," + b"9" * 200_000 + b",3\n"
 
 
 def test_cli_missing_config_exit_4(tmp_path):
@@ -678,20 +697,28 @@ def test_cli_missing_config_exit_4(tmp_path):
     pytest.param(["simulate", "{path}"], DEEP_NESTING, 2,
                  id="simulate-deep-nesting"),
     pytest.param(["simulate", "{path}"], HUGE_INT, 2, id="simulate-huge-int"),
+    pytest.param(["position", "{path}"], OVER_LIMIT, 2,
+                 id="position-field-over-limit"),
+    pytest.param(["hil-replay", "{config}", "{path}", "--out-dir", "{out}"],
+                 OVER_LIMIT, 2, id="hil-replay-field-over-limit"),
 ])
 def test_cli_unreadable_input_exit_code_without_traceback(
         tmp_path, capsys, argv, content, code):
-    """A directory is an i/o error; a file that is not UTF-8 text is a
-    malformed input."""
+    """A directory is an i/o error; a file that is not UTF-8 text, or that
+    the CSV reader cannot split, is a malformed input."""
     path, ranges = tmp_path / "input", tmp_path / "ranges.csv"
     if content is None:
         path.mkdir()
     else:
         path.write_bytes(content)
     _write_ranges(ranges, [(0.0, 0.0), (20.0, 0.0), (0.0, 10.0)], (4.0, 3.0))
-    assert main([a.format(path=path, ranges=ranges) for a in argv]) == code
+    names = {"path": path, "ranges": ranges, "config": write_config(tmp_path),
+             "out": tmp_path / "out"}
+    assert main([a.format(**names) for a in argv]) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+    if content is OVER_LIMIT:
+        assert "line 2" in err
 
 
 def test_cli_ledger_inspect_clean_and_tampered(tmp_path, capsys):
