@@ -61,19 +61,11 @@ _ENVELOPE_HEADER = len(_ENVELOPE_MAGIC) + 2 + 8     # magic, version, mode, inde
 _INDEX = struct.Struct(">Q")                        # a message's channel index
 
 SNAPSHOT_FORMAT = "masksim-tangle"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
-# one transaction of the snapshot, laid out as ``json.dump(indent=1)`` does
-_SNAPSHOT_RECORD = ('%s  {\n'
-                    '   "id": "%s",\n'
-                    '   "parents": [\n'
-                    '    "%s",\n'
-                    '    "%s"\n'
-                    '   ],\n'
-                    '   "payload": "%s",\n'
-                    '   "channel_address": %s,\n'
-                    '   "logical_time": %d\n'
-                    '  }')
+# one transaction of the snapshot: parents are append indices, the channel
+# an index into the snapshot's channel table
+_SNAPSHOT_RECORD = '%s{"id":"%s","parents":[%d,%d],"payload":"%s","channel":%s}'
 
 
 class LedgerError(Exception):
@@ -312,28 +304,33 @@ class Tangle:
     def save(self, path) -> None:
         """Write a versioned JSON snapshot, transactions in append order.
 
-        The text is exactly ``json.dump(doc, fh, indent=1)`` plus a newline,
-        written one record at a time: every value is a hex or base64 string,
-        an integer or null, so no JSON escaping is ever needed.
+        The header holds the table of channel addresses, in first-use
+        order; then comes one compact record per line.  A record's position
+        is its logical time, so a parent is named by its logical time and a
+        channel by its index in the table.  Every value is a hex or base64
+        string, an integer or null, so no JSON escaping is ever needed, and
+        the records are written one at a time.
         """
         with self._lock:
             txs = list(self.transactions.values())
-            genesis = self.genesis.hex()
+            by_id = self.transactions
+            channels = {address: k for k, address in enumerate(self._by_address)}
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f'{{\n "format": "{SNAPSHOT_FORMAT}",\n'
-                     f' "version": {SNAPSHOT_VERSION},\n'
-                     f' "genesis": "{genesis}",\n'
-                     f' "transactions": [')
+            fh.write(f'{{"format":"{SNAPSHOT_FORMAT}",'
+                     f'"version":{SNAPSHOT_VERSION},\n"channels":[')
+            fh.write(",".join(f'\n"{address.hex()}"' for address in channels))
+            fh.write('\n],\n"transactions":[')
             sep = "\n"
             for t in txs:
-                address = (f'"{t.channel_address.hex()}"' if t.channel_address
-                           else "null")
+                p0, p1 = t.parents
+                address = t.channel_address
                 fh.write(_SNAPSHOT_RECORD % (
-                    sep, t.id.hex(), t.parents[0].hex(), t.parents[1].hex(),
-                    base64.b64encode(t.payload).decode("ascii"), address,
-                    t.logical_time))
+                    sep, t.id.hex(), by_id[p0].logical_time,
+                    by_id[p1].logical_time,
+                    base64.b64encode(t.payload).decode("ascii"),
+                    "null" if address is None else channels[address]))
                 sep = ",\n"
-            fh.write("\n ]\n}\n")      # never empty: genesis is always there
+            fh.write("\n]}\n")       # never empty: genesis is always there
 
     @classmethod
     def load(cls, path, rng_seed: int = 0) -> "Tangle":
@@ -351,37 +348,52 @@ class Tangle:
             raise IntegrityError("not a tangle snapshot")
         if doc.get("version") != SNAPSHOT_VERSION:
             raise IntegrityError(f"unsupported snapshot version {doc.get('version')}")
-        try:
-            genesis = bytes.fromhex(doc["genesis"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise IntegrityError("snapshot has no valid genesis id") from exc
-        records = doc.get("transactions")
-        if not isinstance(records, list):
-            raise IntegrityError("snapshot has no transaction list")
+        addresses, records = doc.get("channels"), doc.get("transactions")
+        if type(addresses) is not list or type(records) is not list:
+            raise IntegrityError("snapshot has no channel or transaction list")
+        if not records:
+            raise IntegrityError("genesis record missing from snapshot")
 
-        # one pass in snapshot order attaches each record as ``append`` does,
-        # so the tips keep a live tangle's order; ``verify`` then rejects a
-        # snapshot out of append order
-        tangle = cls.__new__(cls)
-        tangle._start(genesis, rng_seed)
-        txs = tangle.transactions
         fromhex, b64decode = bytes.fromhex, base64.b64decode
+        channels: list[bytes] = []
+        for k, address in enumerate(addresses):
+            try:
+                channels.append(fromhex(address))
+                # 64 characters, so no whitespace either
+                if len(channels[-1]) != 32 or len(address) != 64:
+                    raise ValueError("channel address must be 32 bytes of hex")
+            except (ValueError, TypeError) as exc:
+                raise IntegrityError(
+                    f"malformed snapshot channel {k}: {address!r}") from exc
+        ids: list[bytes] = []
         for rec in records:
             try:
-                parents, time = rec["parents"], rec["logical_time"]
-                if type(parents) is not list or type(time) is not int:
-                    raise TypeError("parents must be a list, time an int")
-                p0, p1 = parents
-                address = rec["channel_address"]
-                if address is not None:
-                    address = fromhex(address)
-                    if len(address) != 32:
-                        raise ValueError("channel address must be 32 bytes")
-                tx = Transaction(fromhex(rec["id"]), (fromhex(p0), fromhex(p1)),
-                                 b64decode(rec["payload"], validate=True),
-                                 address, time)
+                ids.append(fromhex(rec["id"]))
             except (KeyError, ValueError, TypeError) as exc:
                 raise IntegrityError(f"malformed snapshot record: {rec!r}") from exc
+
+        # one pass in snapshot order attaches each record as ``append`` does,
+        # so the tips keep a live tangle's order; every parent and channel
+        # is the one bytes object decoded above.  A parent named at or after
+        # its child is left to ``verify``, which reports it as such.
+        tangle = cls.__new__(cls)
+        tangle._start(ids[0], rng_seed)
+        txs = tangle.transactions
+        for time, rec in enumerate(records):
+            try:
+                p0, p1 = rec["parents"]
+                channel = rec["channel"]
+                tx = Transaction(
+                    ids[time],
+                    (_resolve(ids, p0, "parent", time),
+                     _resolve(ids, p1, "parent", time)),
+                    b64decode(rec["payload"], validate=True),
+                    None if channel is None
+                    else _resolve(channels, channel, "channel", time),
+                    time)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise IntegrityError(f"malformed snapshot record: {rec!r}") from exc
+            records[time] = None            # its strings go as it attaches
             if tx.id in txs:
                 raise IntegrityError(f"duplicate transaction id {tx.id.hex()[:16]}")
             tangle._attach(tx)
@@ -389,6 +401,18 @@ class Tangle:
         if problems:
             raise IntegrityError(*problems)
         return tangle
+
+
+def _resolve(table: list[bytes], index, what: str, time: int) -> bytes:
+    """``table[index]`` for a snapshot index; an index that is not a JSON
+    integer is malformed (``TypeError``), and one outside the table, a
+    negative one included, is reported as unresolvable."""
+    if type(index) is not int:
+        raise TypeError(f"{what} index must be an integer")
+    if not 0 <= index < len(table):
+        raise IntegrityError(f"record {time} has unresolvable {what} "
+                             f"index {index}")
+    return table[index]
 
 
 def _read_text(path) -> str:

@@ -5,6 +5,9 @@
 on: each escrow policy in controller mode, fixed mode, and a controller
 run with one agent replayed from a synthesised sensor capture.
 ``summary.json`` is pinned without its wall-clock ``duration_s``.
+``ledger.ids`` pins the ledger's content apart from its encoding: the
+SHA-256 of the loaded snapshot's transaction ids in append order (an id
+hashes its parents, payload and channel address).
 
 Regenerate the corpus only when a change alters output bytes on purpose,
 and say which files changed and why:
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 from masksim.cli import main
+from masksim.ledger import Tangle
 from masksim.sensing import synth_stream
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -74,7 +78,9 @@ def run_case(name: str, work: Path) -> dict[str, str]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv + ["--out-dir", str(out)])
     assert code == 0, f"{name}: masksim exited {code}"
-    return {p.name: _file_digest(p) for p in sorted(out.iterdir())}
+    ids = b"".join(Tangle.load(out / "ledger.json").transactions)
+    return {**{p.name: _file_digest(p) for p in sorted(out.iterdir())},
+            "ledger.ids": hashlib.sha256(ids).hexdigest()}
 
 
 @pytest.mark.parametrize("name", list(CASES))

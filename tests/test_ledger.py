@@ -347,30 +347,94 @@ def test_snapshot_round_trip(tmp_path):
         [f"r{i}".encode() for i in range(30)]
 
 
+_MODES = {"public": (ChannelMode.PUBLIC, None),
+          "private": (ChannelMode.PRIVATE, None),
+          "restricted": (ChannelMode.RESTRICTED, b"side")}
+
+
+def _branching_tangle(seed: int, ops) -> tuple[Tangle, dict]:
+    """A tangle grown by ``ops``: ``("staged", k)`` stages k + 1 tip
+    selections before appending any of them, so the tip set widens; a mode
+    name publishes k + 1 messages on that mode's channel; ``("raw", k)``
+    appends k + 1 transactions on default tips."""
+    t = Tangle(rng_seed=seed)
+    channels = {name: MamChannel(mode, bytes([seed % 256]) * 32, side_key=key)
+                for name, (mode, key) in _MODES.items()}
+    for kind, k in ops:
+        if kind == "staged":
+            for parents in [t.select_tips() for _ in range(k + 1)]:
+                t.append(f"staged {len(t)}".encode(), parents=parents)
+        elif kind == "raw":
+            for _ in range(k + 1):
+                t.append(f"raw {len(t)}".encode())
+        else:
+            for _ in range(k + 1):
+                channels[kind].publish(t, f"message {len(t)}".encode())
+    return t, channels
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       ops=st.lists(st.tuples(st.sampled_from(
+           ["staged", "raw", *_MODES]), st.integers(0, 3)), max_size=12))
+def test_snapshot_round_trip_on_branching_dags(tmp_path_factory, seed, ops):
+    t, channels = _branching_tangle(seed, ops)
+    path = tmp_path_factory.mktemp("dag") / "ledger.json"
+    t.save(path)
+    loaded = Tangle.load(path)
+    # ids, parents, payloads, addresses and logical times, in append order
+    assert list(loaded.transactions.values()) == list(t.transactions.values())
+    assert list(loaded._tips) == list(t._tips)
+    assert loaded.stats() == t.stats()
+    for name, (mode, key) in _MODES.items():
+        address = channels[name].base_address
+        assert mam_fetch(loaded, address, mode, key) == \
+            mam_fetch(t, address, mode, key)
+    again = path.with_name("again.json")
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_shares_one_object_per_id_and_address(tmp_path):
+    t, _ = _branching_tangle(5, [("staged", 3), ("public", 2),
+                                 ("restricted", 2), ("raw", 2)])
+    path = tmp_path / "ledger.json"
+    t.save(path)
+    loaded = Tangle.load(path)
+    txs = loaded.transactions
+    ids = {tid: tid for tid in txs}     # each id object as its key holds it
+    addresses = {}
+    for tx in txs.values():
+        assert all(p is ids[p] for p in tx.parents)
+        if tx.channel_address is not None:
+            assert addresses.setdefault(tx.channel_address,
+                                        tx.channel_address) \
+                is tx.channel_address
+    assert len(addresses) == 2
+
+
 def snapshot_oracle(t: Tangle) -> str:
-    """The snapshot text as ``json.dump(doc, fh, indent=1)`` writes it."""
-    import base64
-    import io
-    import json
-
-    doc = {"format": "masksim-tangle", "version": 1,
-           "genesis": t.genesis.hex(),
-           "transactions": [
-               {"id": tx.id.hex(),
-                "parents": [p.hex() for p in tx.parents],
-                "payload": base64.b64encode(tx.payload).decode("ascii"),
-                "channel_address": (tx.channel_address.hex()
-                                    if tx.channel_address else None),
-                "logical_time": tx.logical_time}
-               for tx in sorted(t.transactions.values(),
-                                key=lambda tx: tx.logical_time)]}
-    fh = io.StringIO()
-    json.dump(doc, fh, indent=1)
-    fh.write("\n")
-    return fh.getvalue()
+    """The snapshot text, built from the store with ``json.dumps``: the
+    channel table in first-use order, then one compact record per line with
+    its parents as append indices."""
+    txs = sorted(t.transactions.values(), key=lambda tx: tx.logical_time)
+    position = {tx.id: k for k, tx in enumerate(txs)}
+    channels = list(dict.fromkeys(tx.channel_address for tx in txs
+                                  if tx.channel_address is not None))
+    records = [json.dumps({
+        "id": tx.id.hex(),
+        "parents": [position[p] for p in tx.parents],
+        "payload": base64.b64encode(tx.payload).decode("ascii"),
+        "channel": (None if tx.channel_address is None
+                    else channels.index(tx.channel_address))},
+        separators=(",", ":")) for tx in txs]
+    return ('{"format":"masksim-tangle","version":2,\n"channels":['
+            + ",".join("\n" + json.dumps(c.hex()) for c in channels)
+            + '\n],\n"transactions":['
+            + ",".join("\n" + r for r in records) + "\n]}\n")
 
 
-def test_snapshot_text_equals_indented_json_dump(tmp_path):
+def test_snapshot_text_equals_compact_json_oracle(tmp_path):
     t = Tangle(rng_seed=4)
     path = tmp_path / "ledger.json"
     t.save(path)
@@ -382,9 +446,15 @@ def test_snapshot_text_equals_indented_json_dump(tmp_path):
         public.publish(t, b'"quoted"\n\\' * i)
         t.append(f"raw {i}".encode())
     t.save(path)
-    assert path.read_text(encoding="utf-8") == snapshot_oracle(t)
-    assert path.read_text(encoding="utf-8") == \
-        snapshot_oracle(Tangle.load(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == snapshot_oracle(t)
+    assert text == snapshot_oracle(Tangle.load(path))
+    doc = json.loads(text)
+    assert doc["channels"] == [restricted.base_address.hex(),
+                               public.base_address.hex()]
+    assert [rec["parents"] for rec in doc["transactions"][:3]] == \
+        [[0, 0], [0, 0], [1, 1]]
+
 
 
 def test_snapshot_detects_flipped_payload_byte(tmp_path):
@@ -423,77 +493,96 @@ def _set(path, value):
     return edit
 
 
-def _swap_times(doc):
-    txs = doc["transactions"]
-    txs[1]["logical_time"], txs[2]["logical_time"] = 2, 1
-
-
-def _id(i):
-    return lambda doc: doc["transactions"][i]["id"]
-
-
 def _malformed(edit):
     return edit, ["malformed snapshot record"]
 
 
-def _rehash(rec):
-    """Recompute a record's id, so only its fields can show an edit."""
-    address = rec["channel_address"]
+def _bad_channel(address):
+    return (_set(("channels", 0), address),
+            ["malformed snapshot channel 0"])
+
+
+def _rehash(doc, i):
+    """Recompute record ``i``'s id from its fields, so only the structure
+    can show an edit."""
+    records = doc["transactions"]
+    rec = records[i]
+    channel = rec["channel"]
     rec["id"] = transaction_id(
-        tuple(bytes.fromhex(p) for p in rec["parents"]),
+        tuple(bytes.fromhex(records[p]["id"]) for p in rec["parents"]),
         base64.b64decode(rec["payload"]),
-        None if address is None else bytes.fromhex(address)).hex()
+        None if channel is None else bytes.fromhex(doc["channels"][channel])
+    ).hex()
 
 
-def _readdress(address):
-    def edit(doc):
-        rec = doc["transactions"][3]       # no record names it as a parent
-        rec["channel_address"] = address
-        _rehash(rec)
-    return edit
+def _as_version_1(doc):
+    """Rewrite the document in the version-1 layout: hex parents and
+    address and a logical time in every record, and a genesis field."""
+    records = doc["transactions"]
+    ids = [rec["id"] for rec in records]
+    doc.update(version=1, genesis=ids[0], transactions=[
+        {"id": rec["id"], "parents": [ids[p] for p in rec["parents"]],
+         "payload": rec["payload"],
+         "channel_address": (None if rec["channel"] is None
+                             else doc["channels"][rec["channel"]]),
+         "logical_time": time} for time, rec in enumerate(records)])
+    del doc["channels"]
 
 
-# transactions: genesis, a (genesis, genesis), b (a, a), c (b, a); each
-# expectation lists the faults ``load`` reports, one line each, in order
+# records: genesis, a (genesis, genesis), b (a, a), c (b, a) on the one
+# channel; a parent index is the parent's logical time.  Each expectation
+# lists the faults ``load`` reports, one line each, in order.
 @pytest.mark.parametrize("edit,faults", [
     (_set(("transactions", 2, "payload"), "Qg=="), ["content hash mismatch"]),
     (_set(("transactions", 3, "payload"),
           base64.b64encode(bytes(4097)).decode()),
      ["content hash mismatch", "oversize payload"]),
-    (_set(("transactions", 3, "parents", 1), "ab" * 32),
-     ["content hash mismatch", "unresolvable parent"]),
-    (_set(("transactions", 3, "parents", 1), _id(3)),
+    (_set(("transactions", 3, "parents", 1), 4),
+     ["record 3 has unresolvable parent index 4"]),
+    (_set(("transactions", 3, "parents", 1), 3),
      ["content hash mismatch", "does not postdate parent"]),
-    (_swap_times, ["logical-time order", "does not postdate parent"]),
-    (_set(("transactions", 3, "logical_time"), 2),
-     ["logical-time order", "does not postdate parent"]),
+    (_set(("transactions", 1, "parents", 0), 2),
+     ["content hash mismatch", "does not postdate parent"]),
     (lambda doc: doc["transactions"].insert(2, doc["transactions"].pop(3)),
-     ["logical-time order"]),
-    (_set(("transactions", 0, "parents", 0), _id(1)),
+     ["content hash mismatch", "does not postdate parent"]),
+    (_set(("transactions", 0, "parents", 0), 1),
      ["genesis does not reference itself twice"]),
-    (_set(("genesis",), "cd" * 32), ["missing from store"]),
+    (_set(("transactions",), []), ["genesis record missing from snapshot"]),
     (lambda doc: doc["transactions"].append(dict(doc["transactions"][3])),
      ["duplicate transaction id"]),
-    _malformed(lambda doc: doc["transactions"][2]["parents"].append(_id(1)(doc))),
-    _malformed(_set(("transactions", 2, "logical_time"), "2")),
-    _malformed(_set(("transactions", 1, "logical_time"), True)),
-    _malformed(_set(("transactions", 2, "logical_time"), 2.5)),
-    _malformed(_readdress("")),
-    _malformed(_readdress("ab" * 31)),
-    _malformed(_readdress("ab" * 21 + " " * 22)),
+    _malformed(lambda doc: doc["transactions"][2]["parents"].append(1)),
+    _malformed(_set(("transactions", 2, "parents", 0), "1")),
+    _malformed(_set(("transactions", 2, "parents", 0), True)),
+    _malformed(_set(("transactions", 3, "parents", 0), 2.0)),
+    _bad_channel(""),
+    _bad_channel("ab" * 31),
+    _bad_channel(lambda doc: " " + doc["channels"][0]),
     _malformed(_set(("transactions", 1, "payload"), "YQ==YQ==")),
     _malformed(_set(("transactions", 1, "payload"), "Y!Q==")),
+    (_set(("transactions", 2, "parents", 0), -1),
+     ["record 2 has unresolvable parent index -1"]),
+    (_set(("transactions", 3, "channel"), -1),
+     ["record 3 has unresolvable channel index -1"]),
+    (_set(("transactions", 3, "channel"), 1),
+     ["record 3 has unresolvable channel index 1"]),
+    _malformed(_set(("transactions", 3, "channel"), False)),
+    _malformed(_set(("transactions", 3, "channel"), 0.0)),
+    _malformed(_set(("transactions", 3, "channel"), "0")),
+    _bad_channel("zz" * 32),
+    (_as_version_1, ["unsupported snapshot version 1"]),
 ], ids=["payload", "oversize", "unknown-parent", "self-reference",
-        "parent-not-earlier", "duplicate-time", "reordered",
+        "parent-not-earlier", "reordered",
         "genesis-parents", "genesis-missing", "duplicate-id",
         "three-parents", "string-time", "bool-time", "float-time",
         "empty-address", "short-address", "padded-address", "trailing-base64",
-        "non-base64-char"])
+        "non-base64-char", "negative-parent", "negative-channel",
+        "channel-past-end", "bool-channel", "float-channel", "string-channel",
+        "non-hex-address", "version-1"])
 def test_load_reports_each_fault(tmp_path, edit, faults):
     t = Tangle()
     a = t.append(b"a")
     b = t.append(b"b", parents=(a, a))
-    t.append(b"c", parents=(b, a))
+    t.append(b"c", parents=(b, a), channel_address=bytes(range(32)))
     path = tmp_path / "ledger.json"
     t.save(path)
     doc = json.loads(path.read_text())
@@ -584,35 +673,34 @@ def verify_oracle(t: Tangle) -> list[str]:
 
 
 def _snapshot_edit(n):
-    """One edit to a snapshot of ``n`` records: re-parent a record to an
-    existing or an unknown id (optionally re-hashing its own id, so only the
-    structure can show the fault), swap or move two records, or set a
-    logical time."""
+    """One edit to a snapshot of ``n`` records: re-parent a record to
+    another record (optionally re-hashing its own id, so only the structure
+    can show the fault), swap or move two records, or move a record onto or
+    off the channel."""
     index = st.integers(0, n - 1)
     return st.one_of(
-        st.tuples(st.just("reparent"), index, st.integers(0, 1),
-                  st.one_of(st.none(), index), st.booleans()),
+        st.tuples(st.just("reparent"), index, st.integers(0, 1), index,
+                  st.booleans()),
         st.tuples(st.just("swap"), index, index),
         st.tuples(st.just("move"), index, index),
-        st.tuples(st.just("time"), index, st.integers(-1, n + 1)))
+        st.tuples(st.just("channel"), index, st.booleans()))
 
 
-def _apply_edit(records, edit):
+def _apply_edit(doc, edit):
+    records = doc["transactions"]
     kind, i, *args = edit
     if kind == "reparent":
         slot, target, rehash = args
-        rec = records[i]
-        rec["parents"][slot] = ("ab" * 32 if target is None
-                                else records[target]["id"])
+        records[i]["parents"][slot] = target
         if rehash:
-            _rehash(rec)
+            _rehash(doc, i)
     elif kind == "swap":
         j = args[0]
         records[i], records[j] = records[j], records[i]
     elif kind == "move":
         records.insert(args[0], records.pop(i))
     else:
-        records[i]["logical_time"] = args[0]
+        records[i]["channel"] = 0 if args[0] and doc["channels"] else None
 
 
 @settings(max_examples=300, deadline=None)
@@ -633,7 +721,7 @@ def test_verify_agrees_with_reachability_oracle(tmp_path_factory, seed, kinds,
     doc = json.loads(path.read_text())
     n = len(doc["transactions"])
     for edit in data.draw(st.lists(_snapshot_edit(n), min_size=1, max_size=3)):
-        _apply_edit(doc["transactions"], edit)
+        _apply_edit(doc, edit)
     path.write_text(json.dumps(doc))
     with mock.patch.object(Tangle, "verify", lambda self: []):
         loaded = Tangle.load(path)

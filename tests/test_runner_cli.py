@@ -236,7 +236,7 @@ README_DIGESTS = {
     "transfers.csv":
         "1ab7da9d7ea4b48f9a067fe658287bc3f5428932763967440b654449378a1cad",
     "ledger.json":
-        "8a7798e979367299bdb1f85ea4ec7a654b6efb674d5ebd3cadb9851a0b08cf4b",
+        "aa7627aa52c5434fcc855274889a07c2457e564958cfa44adbbe9491a9f59620",
 }
 
 
@@ -730,19 +730,24 @@ def test_cli_ledger_inspect_clean_and_tampered(tmp_path, capsys):
     assert "invariants hold" in capsys.readouterr().out
 
     doc = json.loads(snapshot.read_text())
-    doc["transactions"][1]["logical_time"] = 999999
+    doc["transactions"][1]["parents"][0] = 999999
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(doc))
     assert main(["ledger", "inspect", str(bad)]) == 3
     assert main(["ledger", "inspect", str(tmp_path / "missing.json")]) == 4
 
 
+NON_HEX_GENESIS = {"id": "not hex", "parents": [0, 0],
+                  "payload": "Z2VuZXNpcw==", "channel": None}
+
+
 @pytest.mark.parametrize("doc", [
     [],
-    {"format": "masksim-tangle", "version": 1, "transactions": []},
-    {"format": "masksim-tangle", "version": 1, "genesis": "not hex",
+    {"format": "masksim-tangle", "version": 2, "channels": [],
      "transactions": []},
-    {"format": "masksim-tangle", "version": 1, "genesis": "00" * 32,
+    {"format": "masksim-tangle", "version": 2, "channels": [],
+     "transactions": [NON_HEX_GENESIS]},
+    {"format": "masksim-tangle", "version": 2, "channels": [],
      "transactions": None},
     NOT_UTF8,
     DEEP_NESTING,
@@ -764,14 +769,14 @@ def test_cli_ledger_inspect_prints_one_violation_per_fault(tmp_path, capsys):
     path = tmp_path / "ledger.json"
     t.save(path)
     doc = json.loads(path.read_text())
-    doc["transactions"][2]["parents"][0] = "ab" * 32
+    doc["transactions"][1]["parents"][0] = 2       # a later record
     path.write_text(json.dumps(doc))
     assert main(["ledger", "inspect", str(path)]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and all(
         line.startswith("VIOLATION: ") and ";" not in line for line in lines)
     assert "content hash mismatch" in lines[0]
-    assert "unresolvable parent" in lines[1]
+    assert "does not postdate parent" in lines[1]
 
 
 def test_cli_dropped_escrow_bundle_exit_3(tmp_path, capsys, monkeypatch):
